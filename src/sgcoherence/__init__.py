@@ -37,7 +37,6 @@ from .experiment import (
     density_profile,
     typical_params,
 )
-from .kernels import BACKEND, available_backends, use_backend
 from .oracle import (
     KernelSample,
     QuadratureConvergenceError,
@@ -53,7 +52,6 @@ from .params import ExperimentParams
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BOHR_MAGNETON",
     "CoherenceReport",
     "ExperimentParams",
@@ -67,7 +65,6 @@ __all__ = [
     "SpinDensityMatrix",
     "TimeSeries",
     "__version__",
-    "available_backends",
     "coherence",
     "coherence_exponents",
     "coherence_series",
@@ -92,5 +89,4 @@ __all__ = [
     "total_density_norm_quadrature",
     "total_position_density",
     "typical_params",
-    "use_backend",
 ]

@@ -21,6 +21,7 @@ ufuncs unless stated otherwise.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,9 +55,6 @@ __all__ = [
 #: chi above this is classified as momentum dominated, below 1/this as
 #: spreading dominated. Keeps the limiting tau formulas accurate to ~0.03%.
 REGIME_CHI_THRESHOLD = 1e3
-
-#: Relative tolerance of the dzbar == dz transcription self-check.
-_KINEMATIC_CHECK_RTOL = 1e-12
 
 
 class Regime(Enum):
@@ -143,27 +141,17 @@ def packet_width(params: ExperimentParams, t) -> np.ndarray | float:
 def kinematics(params: ExperimentParams, t: float) -> KinematicState:
     """Classical kinematic quantities of the upper branch at time ``t``.
 
-    ``delta_z_bar`` is computed from its defining combination
-    ``t*delta_p/m - delta_z`` and cross-checked against the algebraically
-    equal closed form ``f t^2 / 2m`` as a transcription guard.
+    ``delta_z_bar`` is defined as ``t*delta_p/m - delta_z``, which equals
+    ``delta_z = f t^2 / 2m`` exactly; it is stored as ``delta_z``.
     """
     t = float(_check_time(t))
     f = params.force
-    delta_p = f * t
     delta_z = f * t * t / (2.0 * params.mass)
-    delta_z_bar = t * delta_p / params.mass - delta_z
-    if abs(delta_z_bar - delta_z) > _KINEMATIC_CHECK_RTOL * max(
-        abs(delta_z), abs(delta_z_bar)
-    ):
-        raise AssertionError(
-            "kinematic identity dzbar == dz violated: "
-            f"{delta_z_bar!r} vs {delta_z!r}"
-        )
     return KinematicState(
         t=t,
-        delta_p=delta_p,
+        delta_p=f * t,
         delta_z=delta_z,
-        delta_z_bar=delta_z_bar,
+        delta_z_bar=delta_z,
         sigma_t=float(packet_width(params, t)),
     )
 
@@ -171,17 +159,21 @@ def kinematics(params: ExperimentParams, t: float) -> KinematicState:
 def packet_amplitude(params: ExperimentParams, branch: int, z, t: float):
     """Evolved branch wavefunction phi_s(z, t), units m^(-1/2).
 
-    For t > 0::
+    For t > 0, with ``d = z - s dzbar`` the offset from the packet centre::
 
         phi_s = (2 pi sigma(t)^2)^(-1/4)
-                * exp(-(z - s dzbar)^2 / (4 sigma(t)^2))
-                * exp(i [ a z^2 + 2 a s dz z - f^2 t^3 / (24 m hbar)
-                          - a (sigma0/sigma(t))^2 (z - s dzbar)^2 ])
+                * exp(-d^2 / (4 sigma(t)^2))
+                * exp(i [ f^2 t^3 / (3 m hbar) + s (f t / hbar) d
+                          + (m / 2 hbar t) (spread / sigma(t))^2 d^2 ])
 
-    with ``a = m / (2 hbar t)``. The global time-dependent phase of the
-    exact propagated state is omitted (it cancels in every observable
-    produced here). t = 0 returns the initial packet, avoiding the 1/t
-    phase factors.
+    with ``spread = hbar t / (2 m sigma0)``. This is the phase
+    ``a z^2 + 2 a s dz z - f^2 t^3/(24 m hbar) - a (sigma0/sigma(t))^2 d^2``
+    (``a = m / (2 hbar t)``) expanded about the centre, where its terms of
+    up to ~1e13 rad no longer cancel. The z-independent part multiplies
+    separately, so its rounding stays a global phase. The global
+    time-dependent phase of the exact propagated state is omitted (it
+    cancels in every observable produced here). t = 0 returns the initial
+    packet, avoiding the 1/t phase factors.
     """
     s = verify_branch(branch)
     t = float(_check_time(t))
@@ -193,17 +185,16 @@ def packet_amplitude(params: ExperimentParams, branch: int, z, t: float):
 
     k = kinematics(params, t)
     sigma_t = k.sigma_t
-    center = s * k.delta_z_bar
-    a = params.mass / (2.0 * params.hbar * t)
-    two_a_dz = s * params.force * t / (2.0 * params.hbar)  # 2 a s dz
-    ratio2 = (sigma0 / sigma_t) ** 2
-    cubic = -(params.force * t / params.hbar) * (params.force * t * t) / (24.0 * params.mass)
+    ft_hbar = params.force * t / params.hbar
+    spread = params.hbar / (2.0 * params.mass * sigma0) * t
+    curvature = params.mass / (2.0 * params.hbar * t) * (spread / sigma_t) ** 2
+    centre_phase = ft_hbar * (params.force * t * t) / (3.0 * params.mass)
 
-    dz_rel = z - center
-    amp = (2.0 * math.pi * sigma_t**2) ** -0.25
-    envelope = amp * np.exp(-(dz_rel * dz_rel) / (4.0 * sigma_t**2))
-    phase = a * z * z + two_a_dz * z + cubic - a * ratio2 * dz_rel * dz_rel
-    return (envelope * np.exp(1j * phase))[()]
+    d = z - s * k.delta_z_bar
+    amp = (2.0 * math.pi * sigma_t**2) ** -0.25 * cmath.exp(1j * centre_phase)
+    envelope = np.exp(-(d * d) / (4.0 * sigma_t**2))
+    phase = s * ft_hbar * d + curvature * d * d
+    return (amp * envelope * np.exp(1j * phase))[()]
 
 
 def packet_density(params: ExperimentParams, branch: int, z, t: float):

@@ -40,19 +40,18 @@ def _complex_pair(text: str) -> complex:
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+    typical = experiment.typical_params()
     group = parser.add_argument_group("experiment parameters")
-    group.add_argument("--mass", type=float, default=1.8e-25, help="particle mass, kg")
-    group.add_argument("--gradient", type=float, default=1e3,
+    group.add_argument("--mass", type=float, default=typical.mass, help="particle mass, kg")
+    group.add_argument("--gradient", type=float, default=typical.field_gradient,
                        help="field gradient dB/dz, T/m")
-    group.add_argument("--moment", type=float, default=9.2740100783e-24,
+    group.add_argument("--moment", type=float, default=typical.magnetic_moment,
                        help="magnetic moment, J/T (default: Bohr magneton)")
-    group.add_argument("--sigma", type=float, default=1e-5,
+    group.add_argument("--sigma", type=float, default=typical.sigma0,
                        help="initial packet width, m")
-    group.add_argument("--alpha", type=_complex_pair,
-                       default=complex(0.7071067811865476, 0.0), metavar="RE,IM",
+    group.add_argument("--alpha", type=_complex_pair, default=typical.alpha, metavar="RE,IM",
                        help="spin-up amplitude (normalized on load)")
-    group.add_argument("--beta", type=_complex_pair,
-                       default=complex(0.7071067811865476, 0.0), metavar="RE,IM",
+    group.add_argument("--beta", type=_complex_pair, default=typical.beta, metavar="RE,IM",
                        help="spin-down amplitude (normalized on load)")
     parser.add_argument("--config", metavar="FILE",
                         help="key=value defaults file; flags override it")
@@ -252,6 +251,7 @@ def _run_validate(args: argparse.Namespace) -> int:
         all_ok &= _check("overlap_imaginary_part", max_imag, 1e-8, lines)
     except oracle.QuadratureConvergenceError as exc:
         all_ok = _check_failed("overlap_vs_closed_form", str(exc), lines)
+        _check_failed("overlap_imaginary_part", str(exc), lines)
 
     # Overlap magnitude at the closed-form decay time.
     try:
@@ -301,6 +301,7 @@ def _run_validate(args: argparse.Namespace) -> int:
             all_ok &= _check(name_p, spread, 1e-3, lines)
         except oracle.QuadratureConvergenceError as exc:
             all_ok = _check_failed(name_d, str(exc), lines)
+            _check_failed(name_p, str(exc), lines)
 
     # Normalization of the evolved packets and of the spin-traced density.
     try:

@@ -8,7 +8,6 @@ grids and package them with their structural invariants checked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +86,6 @@ def typical_params() -> ExperimentParams:
         mass=1.8e-25,
         field_gradient=1e3,
         sigma0=1e-5,
-        alpha=complex(1.0 / math.sqrt(2.0), 0.0),
-        beta=complex(1.0 / math.sqrt(2.0), 0.0),
     )
 
 

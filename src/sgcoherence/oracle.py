@@ -397,7 +397,7 @@ def overlap_quadrature(params: ExperimentParams, t: float,
             break
 
     edges = _uniform_edges(-z_live, z_live, k_cross, spec.min_points_per_oscillation, sigma_t)
-    integrand = lambda z: kernels.overlap_integrand(np.ascontiguousarray(z), **args)
+    integrand = lambda z: kernels.overlap_integrand(z, **args)
     value, err, _ = _adaptive(
         integrand, edges, spec.abs_tol, spec.max_subdivisions,
         extra_error=tail_bound, what="overlap quadrature",
@@ -566,9 +566,7 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
 
         extra = rem + beyond_window
         edges = _chirp_edges(lo, hi, a, spec.min_points_per_oscillation, sigma0)
-        integrand = lambda u: kernels.kernel_integrand(
-            np.ascontiguousarray(u), zstar, inv4s02, a, const
-        )
+        integrand = lambda u: kernels.kernel_integrand(u, zstar, inv4s02, a, const)
         value, err, _ = _adaptive(
             integrand, edges, spec.abs_tol, spec.max_subdivisions,
             extra_error=extra, what=f"kernel convolution at z={z:.6g}",
@@ -586,7 +584,9 @@ def decoherence_time_bisection(params: ExperimentParams, tol_rel: float = 1e-12,
     C is monotone non-increasing with C(0) = 1, so the root is unique; the
     bracket starts at one hundredth of the smaller limiting time scale and
     doubles until the coherence drops below 1/e, then bisects until the
-    bracket is narrower than ``tol_rel`` relative to the root.
+    bracket is narrower than ``tol_rel`` relative to the root. Raises
+    ``RuntimeError`` when bracketing and bisection together take more than
+    200 iterations, as a ``tol_rel`` near machine precision does.
     """
     if not (tol_rel > 0.0 and math.isfinite(tol_rel)):
         raise ValueError("tol_rel must be positive and finite")
@@ -601,7 +601,11 @@ def decoherence_time_bisection(params: ExperimentParams, tol_rel: float = 1e-12,
         iterations += 1
         if iterations > 200:
             raise RuntimeError("failed to bracket the coherence 1/e crossing")
-    while (t_hi - t_lo) > tol_rel * t_hi and iterations < 200:
+    while (t_hi - t_lo) > tol_rel * t_hi:
+        if iterations >= 200:
+            raise RuntimeError(
+                f"bisection did not reach tol_rel={tol_rel:.1e} in 200 iterations"
+            )
         mid = 0.5 * (t_lo + t_hi)
         if float(coherence(params, mid)) > target:
             t_lo = mid

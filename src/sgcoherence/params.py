@@ -18,7 +18,7 @@ from .constants import BOHR_MAGNETON, HBAR
 #: Tolerance on |alpha|^2 + |beta|^2 - 1 accepted in strict mode.
 NORM_TOL = 1e-12
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2 = math.sqrt(0.5)  # correctly rounded 1/sqrt(2)
 
 
 @dataclass(frozen=True)

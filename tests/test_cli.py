@@ -192,3 +192,15 @@ def test_validate_forced_failure(capsys):
     assert main(["validate", "--abs-tol", "1e-15", "--max-subdivisions", "8"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_validate_kernel_failure_fails_both_kernel_checks(capsys):
+    # A kernel convolution that cannot converge fails its density and its
+    # phase check alike, so every check keeps one line.
+    assert main(["validate", "--abs-tol", "1e-40", "--max-subdivisions", "0"]) == 1
+    out = capsys.readouterr().out
+    for t in ("2e-09", "1e-06", "1e-05"):
+        for name in (f"kernel_density_match_t={t}", f"kernel_phase_constancy_t={t}"):
+            lines = [line for line in out.splitlines() if line.startswith(name + " ")]
+            assert len(lines) == 1 and lines[0].endswith(" FAIL")
+    assert out.count("overlap_imaginary_part") == 1

@@ -66,6 +66,15 @@ def test_bisection_tolerance_validation(typical):
         decoherence_time_bisection(typical, -1e-9)
 
 
+def test_bisection_iteration_cap_raises(typical):
+    # 1e-20 is below the spacing of doubles near tau, so the bracket can
+    # never get that narrow; the iteration cap must say so.
+    with pytest.raises(RuntimeError):
+        decoherence_time_bisection(typical, tol_rel=1e-20)
+    _, iterations = decoherence_time_bisection(typical, tol_rel=1e-10, full_output=True)
+    assert iterations < 100
+
+
 def test_momentum_dominated_limit():
     for chi in (1e6, 1e8, 1e12):
         p = params_with_chi(chi)

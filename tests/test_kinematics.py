@@ -58,9 +58,12 @@ def test_against_extended_precision(typical, t):
 
 
 def test_dzbar_equals_dz_over_wide_grid(typical):
+    # dzbar is defined as t*dp/m - dz; kinematics stores the equal dz.
     for t in np.geomspace(1e-15, 1e3, 250):
         k = kinematics(typical, float(t))
-        assert abs(k.delta_z_bar - k.delta_z) <= 1e-12 * k.delta_z
+        defined = float(t) * k.delta_p / typical.mass - k.delta_z
+        assert abs(defined - k.delta_z) <= 1e-12 * k.delta_z
+        assert k.delta_z_bar == k.delta_z
 
 
 def test_width_never_below_initial(typical):

@@ -10,8 +10,11 @@ from sgcoherence import (
     QuadratureSpec,
     coherence,
     decoherence_time,
+    kernels,
     overlap_quadrature,
+    packet_amplitude,
 )
+from sgcoherence.oracle import _overlap_packet_args
 
 
 def test_spec_validation():
@@ -87,3 +90,20 @@ def test_error_bound_is_honest(typical):
         value, err = overlap_quadrature(typical, float(t), spec, full_output=True)
         true = float(coherence(typical, float(t)))
         assert abs(abs(value) - true) <= max(err, 1e-12) * 5.0
+
+
+def test_overlap_integrand_is_branch_product(typical):
+    # The fused integrand must equal phi_+ * conj(phi_-) built from the
+    # reference amplitudes. Both routes form phases of up to a*z^2 rad
+    # (~1e5 rad at 13 us), so each carries rounding noise of order
+    # a*z^2*eps; the comparison allows that much and no more.
+    for t in (0.0, 1e-9, 1e-6, 1.3e-5):
+        args, sigma_t, dzbar = _overlap_packet_args(typical, t)
+        z = np.linspace(-dzbar - 6 * sigma_t, dzbar + 6 * sigma_t, 257)
+        fused = kernels.overlap_integrand(z, **args)
+        reference = packet_amplitude(typical, +1, z, t) * np.conj(
+            packet_amplitude(typical, -1, z, t)
+        )
+        np.testing.assert_allclose(np.abs(fused), np.abs(reference), rtol=1e-12)
+        phase_noise = args["a"] * np.max(z) ** 2 * 5e-16 + 1e-12
+        assert float(np.abs(np.angle(fused / reference)).max()) <= phase_noise

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import expj, mp, mpf
 
 from sgcoherence import (
     ExperimentParams,
+    decoherence_time,
     kinematics,
     packet_amplitude,
     packet_density,
     packet_norm_quadrature,
     total_position_density,
+    typical_params,
 )
 
 # phi_+(z = 1.3e-5 m, t = 2 ns) at typical parameters, frozen from a
@@ -45,13 +48,13 @@ def test_modulus_at_center(typical, t, branch):
 
 
 def test_frozen_amplitude_value(typical):
-    # The raw phase is ~7e7 rad here, so double evaluation carries a few
-    # 1e-8 rad of rounding; the modulus is fully conditioned.
+    # The phase terms about z = 0 reach ~7e7 rad here; taken about the
+    # packet centre they stay small, so the phase is good to rounding.
     value = packet_amplitude(typical, +1, 1.3e-5, 2e-9)
     reference = complex(PHI_PLUS_RE, PHI_PLUS_IM)
     assert abs(value) == pytest.approx(abs(reference), rel=1e-12)
-    assert value.real == pytest.approx(PHI_PLUS_RE, abs=abs(reference) * 2e-7)
-    assert value.imag == pytest.approx(PHI_PLUS_IM, abs=abs(reference) * 2e-7)
+    assert value.real == pytest.approx(PHI_PLUS_RE, abs=abs(reference) * 1e-12)
+    assert value.imag == pytest.approx(PHI_PLUS_IM, abs=abs(reference) * 1e-12)
 
 
 def test_density_peak_and_one_sigma_point(typical):
@@ -128,3 +131,40 @@ def test_bad_branch_rejected(typical):
 def test_negative_time_rejected(typical):
     with pytest.raises(ValueError):
         packet_amplitude(typical, +1, 0.0, -1e-9)
+
+
+def _phase_50_digits(params, z, t):
+    """exp(i phase) of phi_+ from the uncentred textbook phase, in 50 digits."""
+    with mp.workdps(50):
+        m, hbar, f, s0, t = (mpf(float(x)) for x in
+                             (params.mass, params.hbar, params.force, params.sigma0, t))
+        a = m / (2 * hbar * t)
+        dz = f * t * t / (2 * m)
+        ratio2 = 1 / (1 + (hbar * t / (2 * m * s0 * s0)) ** 2)
+        cubic = -(f * f * t**3) / (24 * m * hbar)
+        return np.array([
+            complex(expj(a * zi * zi + 2 * a * dz * zi + cubic - a * ratio2 * (zi - dz) ** 2))
+            for zi in (mpf(float(x)) for x in z)
+        ])
+
+
+@pytest.mark.parametrize("mass, gradient, sigma0, t_over_tau", [
+    (1.0, 1.0, 1.0, 1.0),
+    (10.0, 1.0, 10.0, 0.3),
+    (10.0, 10.0, 10.0, 0.3),
+    (0.1, 0.1, 10.0, 100.0),
+])
+def test_phase_against_extended_precision(mass, gradient, sigma0, t_over_tau):
+    # Wide, heavy packets have phase terms of up to ~1e13 rad that cancel
+    # to a few rad; summed about z = 0 in double precision they left up to
+    # 0.15 rad of z-dependent rounding on these beams.
+    base = typical_params()
+    params = ExperimentParams(mass=base.mass * mass,
+                              field_gradient=base.field_gradient * gradient,
+                              sigma0=base.sigma0 * sigma0)
+    t = t_over_tau * decoherence_time(params)
+    k = kinematics(params, t)
+    z = np.linspace(k.delta_z_bar - 4 * k.sigma_t, k.delta_z_bar + 4 * k.sigma_t, 41)
+    value = np.asarray(packet_amplitude(params, +1, z, t))
+    twist = value / np.abs(value) / _phase_50_digits(params, z, t)
+    assert float(np.abs(np.angle(twist / twist[20])).max()) <= 1e-9
