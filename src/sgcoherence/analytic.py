@@ -285,20 +285,25 @@ def linear_entropy(params: ExperimentParams, t, convention: str = "paper"):
         1 - C(t)^2, the normalized measure that reaches 1 at full
         decoherence (and ignores the spin weights).
     convention="purity"
-        1 - Tr(rho_spin^2), the textbook subsystem purity deficit; tops
-        out at 1/2 for a qubit. Equals half the paper value when
-        alpha = beta = 1/sqrt(2).
+        1 - Tr(rho_spin^2) = 1 - (|alpha|^4 + |beta|^4 + 2 |alpha beta* C(t)|^2),
+        the textbook subsystem purity deficit of ``spin_density_matrix``,
+        broadcast over ``t``; tops out at 1/2 for a qubit. Equals half the
+        paper value when alpha = beta = 1/sqrt(2).
     """
     if convention == "paper":
         c = coherence(params, t)
         return 1.0 - c * c
     if convention == "purity":
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return 1.0 - spin_density_matrix(params, float(t_arr)).purity
-        return np.array(
-            [1.0 - spin_density_matrix(params, float(ti)).purity for ti in t_arr]
-        )
+        rho_pp = abs(params.alpha) ** 2
+        rho_mm = abs(params.beta) ** 2
+        rho_pm = params.alpha * params.beta.conjugate() * coherence(params, t)
+        # hypot and float_power call libm hypot and pow, as the complex
+        # ``abs`` and float ``**`` of SpinDensityMatrix.purity do, so both
+        # routes round alike; NumPy's complex ``abs`` and ``**2`` round
+        # differently in the last bit.
+        cross = np.float_power(np.hypot(rho_pm.real, rho_pm.imag), 2.0)
+        purity = rho_pp**2 + rho_mm**2 + 2.0 * cross
+        return (1.0 - purity)[()]
     raise ValueError(f"unknown linear-entropy convention {convention!r}")
 
 

@@ -58,12 +58,15 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_quadrature_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = oracle.QuadratureSpec()
     group = parser.add_argument_group("quadrature overrides")
     group.add_argument("--abs-tol", type=float, default=None,
                        help="absolute tolerance for every quadrature check")
-    group.add_argument("--max-subdivisions", type=int, default=2**20)
-    group.add_argument("--window-sigmas", type=float, default=12.0)
-    group.add_argument("--min-points-per-oscillation", type=float, default=20.0)
+    group.add_argument("--max-subdivisions", type=int, default=defaults.max_subdivisions)
+    group.add_argument("--window-sigmas", type=float,
+                       default=defaults.window_halfwidth_sigmas)
+    group.add_argument("--min-points-per-oscillation", type=float,
+                       default=defaults.min_points_per_oscillation)
 
 
 # argparse's stock matcher rejects negative numbers in scientific notation

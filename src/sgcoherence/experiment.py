@@ -8,6 +8,7 @@ grids and package them with their structural invariants checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,8 @@ def typical_params() -> ExperimentParams:
 def _time_grid(t_min: float, t_max: float, n: int, spacing: str) -> np.ndarray:
     if not (n >= 2):
         raise ValueError("need at least two samples")
-    if not (0.0 <= t_min < t_max):
-        raise ValueError("need 0 <= t_min < t_max")
+    if not (0.0 <= t_min < t_max < math.inf):
+        raise ValueError("need 0 <= t_min < t_max, both finite")
     if spacing == "linear":
         return np.linspace(t_min, t_max, n)
     if spacing == "log":
@@ -138,8 +139,8 @@ def density_profile(params: ExperimentParams, t: float, z_min: float,
     """Sample both branch densities and the spin-traced total on [z_min, z_max]."""
     if not (n >= 2):
         raise ValueError("need at least two grid points")
-    if not (z_min < z_max):
-        raise ValueError("need z_min < z_max")
+    if not (-math.inf < z_min < z_max < math.inf):
+        raise ValueError("need z_min < z_max, both finite")
     z = np.linspace(z_min, z_max, n)
     density_plus = np.asarray(analytic.packet_density(params, +1, z, t), dtype=float)
     density_minus = np.asarray(analytic.packet_density(params, -1, z, t), dtype=float)

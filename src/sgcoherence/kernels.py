@@ -11,31 +11,28 @@ import numpy as np
 
 def overlap_integrand(
     z: np.ndarray,
-    amp: float,
+    amp2: float,
     inv4s2: float,
     center: float,
-    a: float,
-    two_a_dz: float,
-    ratio2: float,
+    k_cross: float,
 ) -> np.ndarray:
     """phi_+(z) * conj(phi_-(z)) evaluated pointwise.
 
-    ``amp`` is the common envelope normalization (2 pi sigma(t)^2)^(-1/4),
-    ``center`` the branch displacement dzbar(t), ``a = m/(2 hbar t)``,
-    ``two_a_dz = f t / (2 hbar)`` and ``ratio2 = (sigma0/sigma(t))^2``.
-    Pass a = two_a_dz = 0 for t = 0.
+    ``amp2`` is the squared envelope normalization (2 pi sigma(t)^2)^(-1/2),
+    ``inv4s2 = 1/(4 sigma(t)^2)``, ``center`` the branch displacement
+    dzbar(t) and ``k_cross = (f t/hbar)(1 + (sigma0/sigma(t))^2)`` the
+    cross wavenumber, so center = k_cross = 0 at t = 0.
 
     The quadratic and cubic phase terms of the two factors are identical
     and are cancelled in exact arithmetic here; forming them separately
-    would leave catastrophic rounding noise at small t, where a*z^2 can
-    reach 1e12 radians. What survives is the linear cross phase
-    ``(2 two_a_dz + 4 a ratio2 center) z``.
+    would leave catastrophic rounding noise at small t, where a*z^2
+    (a = m/(2 hbar t)) can reach 1e12 radians. What survives is the
+    linear cross phase ``k_cross z``.
     """
     z = np.asarray(z, dtype=float)
     d_plus = z - center
     d_minus = z + center
-    envelope = (amp * amp) * np.exp(-(d_plus * d_plus + d_minus * d_minus) * inv4s2)
-    k_cross = 2.0 * two_a_dz + 4.0 * a * ratio2 * center
+    envelope = amp2 * np.exp(-(d_plus * d_plus + d_minus * d_minus) * inv4s2)
     return envelope * np.exp(1j * (k_cross * z))
 
 

@@ -126,12 +126,12 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
             raise ValueError("abs_tol must be positive and finite")
-        if int(self.max_subdivisions) < 0:
-            raise ValueError("max_subdivisions must be >= 0")
-        if self.window_halfwidth_sigmas < 6.0:
-            raise ValueError("window_halfwidth_sigmas must be >= 6")
-        if self.min_points_per_oscillation < 8.0:
-            raise ValueError("min_points_per_oscillation must be >= 8")
+        if not (0 <= self.max_subdivisions < math.inf):
+            raise ValueError("max_subdivisions must be finite and >= 0")
+        if not (6.0 <= self.window_halfwidth_sigmas < math.inf):
+            raise ValueError("window_halfwidth_sigmas must be finite and >= 6")
+        if not (8.0 <= self.min_points_per_oscillation < math.inf):
+            raise ValueError("min_points_per_oscillation must be finite and >= 8")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -309,32 +309,6 @@ def _chirp_edges(lo: float, hi: float, a: float, min_ppo: float,
     return edges[(edges >= lo) & (edges <= hi)]
 
 
-def _overlap_packet_args(params: ExperimentParams, t: float):
-    """Scalars feeding the branch-product integrand at time t."""
-    if t == 0.0:
-        sigma_t = params.sigma0
-        amp = (2.0 * math.pi * sigma_t**2) ** -0.25
-        return {
-            "amp": amp,
-            "inv4s2": 1.0 / (4.0 * sigma_t**2),
-            "center": 0.0,
-            "a": 0.0,
-            "two_a_dz": 0.0,
-            "ratio2": 1.0,
-        }, sigma_t, 0.0
-    k = kinematics(params, t)
-    sigma_t = k.sigma_t
-    a = params.mass / (2.0 * params.hbar * t)
-    return {
-        "amp": (2.0 * math.pi * sigma_t**2) ** -0.25,
-        "inv4s2": 1.0 / (4.0 * sigma_t**2),
-        "center": k.delta_z_bar,
-        "a": a,
-        "two_a_dz": params.force * t / (2.0 * params.hbar),
-        "ratio2": (params.sigma0 / sigma_t) ** 2,
-    }, sigma_t, k.delta_z_bar
-
-
 def overlap_quadrature(params: ExperimentParams, t: float,
                        spec: QuadratureSpec | None = None,
                        full_output: bool = False):
@@ -355,10 +329,9 @@ def overlap_quadrature(params: ExperimentParams, t: float,
     """
     spec = spec or QuadratureSpec()
     t = float(t)
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError("time must be finite and >= 0")
-
-    args, sigma_t, dzbar = _overlap_packet_args(params, t)
+    k = kinematics(params, t)  # raises ValueError unless t is finite and >= 0
+    sigma_t, dzbar = k.sigma_t, k.delta_z_bar
+    k_cross = (params.force * t / params.hbar) * (1.0 + (params.sigma0 / sigma_t) ** 2)
     tol_tail = spec.abs_tol / 8.0
 
     # Envelope of the product: peak * exp(-z^2 / (2 sigma_t^2)).
@@ -368,10 +341,6 @@ def overlap_quadrature(params: ExperimentParams, t: float,
     if envelope_mass <= tol_tail:
         value, bound = 0.0 + 0.0j, envelope_mass
         return (value, bound) if full_output else value
-
-    k_cross = 0.0
-    if t > 0.0:
-        k_cross = (params.force * t / params.hbar) * (1.0 + args["ratio2"])
 
     # Fast-phase short circuit: two integrations by parts bound the whole
     # integral once the cross phase is extreme, with no sampling at all.
@@ -397,7 +366,9 @@ def overlap_quadrature(params: ExperimentParams, t: float,
             break
 
     edges = _uniform_edges(-z_live, z_live, k_cross, spec.min_points_per_oscillation, sigma_t)
-    integrand = lambda z: kernels.overlap_integrand(z, **args)
+    amp = (2.0 * math.pi * sigma_t**2) ** -0.25
+    amp2, inv4s2 = amp * amp, 1.0 / (4.0 * sigma_t**2)
+    integrand = lambda z: kernels.overlap_integrand(z, amp2, inv4s2, dzbar, k_cross)
     value, err, _ = _adaptive(
         integrand, edges, spec.abs_tol, spec.max_subdivisions,
         extra_error=tail_bound, what="overlap quadrature",
@@ -466,6 +437,18 @@ def _kernel_tail_remainder(c: float, zstar: float, outward: float, u_end: float,
     return 2.0 * total / (8.0 * a * a * a)
 
 
+def _interior_cuts(lo: float, hi: float, lo_full: float, hi_full: float):
+    """The live window's cuts that fall inside the full window, one per side.
+
+    Yields ``(sign, cut, end)``: the outward direction in u, and the
+    distances |u| from the stationary point to the cut and to the window
+    edge on that side.
+    """
+    for sign, cut, end in ((1.0, hi, hi_full), (-1.0, -lo, -lo_full)):
+        if 0.0 < cut < end:
+            yield sign, cut, end
+
+
 def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
                          t: float, spec: QuadratureSpec | None = None,
                          full_output: bool = False):
@@ -532,10 +515,8 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
             hi = min(hi_full, radius)
             if lo < hi:
                 rem = 0.0
-                if hi < hi_full and hi > 0.0:
-                    rem += mod * _kernel_tail_remainder(hi, zstar, +1.0, hi_full, a, sigma0)
-                if lo > lo_full and lo < 0.0:
-                    rem += mod * _kernel_tail_remainder(-lo, zstar, -1.0, -lo_full, a, sigma0)
+                for sign, cut, end in _interior_cuts(lo, hi, lo_full, hi_full):
+                    rem += mod * _kernel_tail_remainder(cut, zstar, sign, end, a, sigma0)
                 n_panels = a * (hi * hi + lo * lo) / dphi + (hi - lo) / (0.5 * sigma0)
                 if n_panels > _KERNEL_PANEL_BUDGET and best is not None:
                     break
@@ -551,18 +532,12 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
 
         # Explicit boundary corrections at interior cuts.
         corr = 0.0 + 0.0j
-        if hi < hi_full and hi > 0.0:
-            x_c = zstar + hi
+        for sign, cut, _ in _interior_cuts(lo, hi, lo_full, hi_full):
+            x_c = zstar + sign * cut
             env_c = math.exp(-x_c * x_c * inv4s02)
-            denv = -2.0 * x_c * inv4s02 * env_c  # outward derivative, +u side
+            denv = -2.0 * sign * x_c * inv4s02 * env_c  # outward derivative
             d2env = (4.0 * x_c * x_c * inv4s02 * inv4s02 - 2.0 * inv4s02) * env_c
-            corr += const * _kernel_tail_correction(hi, env_c, denv, d2env, a)
-        if lo > lo_full and lo < 0.0:
-            x_c = zstar + lo
-            env_c = math.exp(-x_c * x_c * inv4s02)
-            denv = 2.0 * x_c * inv4s02 * env_c  # outward derivative, -u side
-            d2env = (4.0 * x_c * x_c * inv4s02 * inv4s02 - 2.0 * inv4s02) * env_c
-            corr += const * _kernel_tail_correction(-lo, env_c, denv, d2env, a)
+            corr += const * _kernel_tail_correction(cut, env_c, denv, d2env, a)
 
         extra = rem + beyond_window
         edges = _chirp_edges(lo, hi, a, spec.min_points_per_oscillation, sigma0)

@@ -86,6 +86,8 @@ def test_series_invalid_grid(tmp_path, capsys):
     assert main(["series", "-o", str(out), "--t-min", "0", "--spacing", "log"]) == 2
     assert main(["series", "-o", str(out), "--t-min", "2", "--t-max", "1"]) == 2
     assert main(["series", "-o", str(out), "--samples", "1"]) == 2
+    assert main(["series", "-o", str(out), "--t-max", "inf"]) == 2
+    assert not out.exists()
 
 
 def test_series_unwritable_path(tmp_path, capsys):
@@ -134,6 +136,13 @@ def test_profile_requires_at_time(tmp_path):
 
 def test_profile_rejects_negative_time(tmp_path):
     assert main(["profile", "--at-time", "-1e-9", "-o", str(tmp_path / "p.csv")]) == 2
+
+
+def test_profile_rejects_non_finite_window(tmp_path):
+    out = tmp_path / "p.csv"
+    for flag, value in (("--z-max", "inf"), ("--z-min", "-inf"), ("--z-min", "nan")):
+        assert main(["profile", "--at-time", "1e-6", flag, value, "-o", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_profile_byte_identical_reruns(tmp_path):
@@ -186,6 +195,13 @@ def test_validate_defaults_pass(capsys):
     for token in ("overlap_vs_closed_form", "tau_closed_form_vs_bisection",
                   "kernel_density_match", "norm_unity", "err=", "bound="):
         assert token in out
+
+
+def test_validate_rejects_non_finite_quadrature_settings(capsys):
+    for flag, value in (("--min-points-per-oscillation", "inf"),
+                        ("--window-sigmas", "inf"), ("--window-sigmas", "nan")):
+        assert main(["validate", flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_validate_forced_failure(capsys):

@@ -81,6 +81,26 @@ def test_purity_convention_half_of_paper_at_bell(typical):
     np.testing.assert_allclose(e_purity, e_paper / 2.0, atol=5e-15)
 
 
+def test_purity_convention_matches_density_matrix_random_amplitudes(typical):
+    # The broadcast closed form against the per-time density-matrix route,
+    # for t as an array and as a scalar. The times run over [0, 5 tau] and
+    # down to 1e-6 tau, where the entropy is a difference of numbers near 1.
+    rng = np.random.default_rng(11)
+    tau = decoherence_time(typical)
+    t = np.concatenate([tau * np.geomspace(1e-6, 1e-2, 20),
+                        np.linspace(0.0, 5.0 * tau, 81)])
+    for _ in range(20):
+        raw = rng.normal(size=4)
+        p = typical.with_amplitudes(complex(raw[0], raw[1]), complex(raw[2], raw[3]))
+        reference = np.array([1.0 - spin_density_matrix(p, float(ti)).purity for ti in t])
+        np.testing.assert_allclose(linear_entropy(p, t, "purity"), reference,
+                                   rtol=0.0, atol=1e-15)
+        for ti, ref in zip(t, reference):
+            scalar = linear_entropy(p, float(ti), "purity")
+            assert np.ndim(scalar) == 0
+            assert abs(scalar - ref) <= 1e-15
+
+
 def test_unknown_convention_rejected(typical):
     with pytest.raises(ValueError):
         linear_entropy(typical, 1e-9, convention="von-neumann")

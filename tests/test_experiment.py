@@ -77,6 +77,9 @@ def test_series_purity_column_half_of_paper_at_bell(typical):
         dict(t_min=0.0, t_max=1.0, n=1),
         dict(t_min=0.0, t_max=1.0, n=10, spacing="log"),
         dict(t_min=0.0, t_max=1.0, n=10, spacing="cubic"),
+        dict(t_min=0.0, t_max=math.inf, n=10),
+        dict(t_min=math.nan, t_max=1.0, n=10),
+        dict(t_min=0.0, t_max=math.nan, n=10),
     ],
 )
 def test_series_invalid_grids(typical, kwargs):
@@ -151,6 +154,9 @@ def test_profile_invalid_grids(typical):
         density_profile(typical, 1e-9, 1.0, -1.0, 100)
     with pytest.raises(ValueError):
         density_profile(typical, 1e-9, -1.0, 1.0, 1)
+    for z_min, z_max in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError):
+            density_profile(typical, 1e-9, z_min, z_max, 100)
 
 
 def test_default_window(typical):

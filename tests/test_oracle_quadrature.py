@@ -11,10 +11,10 @@ from sgcoherence import (
     coherence,
     decoherence_time,
     kernels,
+    kinematics,
     overlap_quadrature,
     packet_amplitude,
 )
-from sgcoherence.oracle import _overlap_packet_args
 
 
 def test_spec_validation():
@@ -23,12 +23,14 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=float("nan"))
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=-1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(window_halfwidth_sigmas=4.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(min_points_per_oscillation=4.0)
+    for bad in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            QuadratureSpec(max_subdivisions=bad)
+    for bad in (4.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            QuadratureSpec(window_halfwidth_sigmas=bad)
+        with pytest.raises(ValueError):
+            QuadratureSpec(min_points_per_oscillation=bad)
 
 
 def test_overlap_is_unity_at_t0(typical):
@@ -98,12 +100,16 @@ def test_overlap_integrand_is_branch_product(typical):
     # (~1e5 rad at 13 us), so each carries rounding noise of order
     # a*z^2*eps; the comparison allows that much and no more.
     for t in (0.0, 1e-9, 1e-6, 1.3e-5):
-        args, sigma_t, dzbar = _overlap_packet_args(typical, t)
+        k = kinematics(typical, t)
+        sigma_t, dzbar = k.sigma_t, k.delta_z_bar
+        amp2 = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_t)
+        k_cross = typical.force * t / typical.hbar * (1.0 + (typical.sigma0 / sigma_t) ** 2)
         z = np.linspace(-dzbar - 6 * sigma_t, dzbar + 6 * sigma_t, 257)
-        fused = kernels.overlap_integrand(z, **args)
+        fused = kernels.overlap_integrand(z, amp2, 1.0 / (4.0 * sigma_t**2), dzbar, k_cross)
         reference = packet_amplitude(typical, +1, z, t) * np.conj(
             packet_amplitude(typical, -1, z, t)
         )
         np.testing.assert_allclose(np.abs(fused), np.abs(reference), rtol=1e-12)
-        phase_noise = args["a"] * np.max(z) ** 2 * 5e-16 + 1e-12
+        a = typical.mass / (2.0 * typical.hbar * t) if t > 0.0 else 0.0
+        phase_noise = a * np.max(z) ** 2 * 5e-16 + 1e-12
         assert float(np.abs(np.angle(fused / reference)).max()) <= phase_noise
