@@ -247,9 +247,14 @@ def coherence_exponents(params: ExperimentParams, t):
     # (1/2) dp/(hbar/2 sigma0) = f sigma0 t / hbar, grouped dimensionless
     half_dp_ratio = (f * sigma0 / params.hbar) * t
     width_ratio = sigma0 / sigma_t
-    term_momentum = 0.5 * (half_dp_ratio * (width_ratio + 1.0 / width_ratio)) ** 2
+    # Squared by multiplication: NumPy's ``**2`` multiplies on arrays but
+    # calls libm pow on the scalar a float ``t`` becomes, which rounds
+    # differently, so a scalar call would disagree with the array element.
+    momentum_ratio = half_dp_ratio * (width_ratio + 1.0 / width_ratio)
+    term_momentum = 0.5 * (momentum_ratio * momentum_ratio)
     dzbar = f * t * t / (2.0 * params.mass)
-    term_position = 0.5 * (dzbar / sigma_t) ** 2
+    position_ratio = dzbar / sigma_t
+    term_position = 0.5 * (position_ratio * position_ratio)
     return term_momentum[()], term_position[()]
 
 

@@ -1,7 +1,17 @@
 """Command-line contract: schemas, exit codes, determinism, round trips."""
 
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from sgcoherence import cli
 from sgcoherence.cli import main
 
 HEADER_SERIES = "t_s,coherence,entropy_paper,entropy_purity,sep_position,sep_momentum"
@@ -220,3 +230,87 @@ def test_validate_kernel_failure_fails_both_kernel_checks(capsys):
             lines = [line for line in out.splitlines() if line.startswith(name + " ")]
             assert len(lines) == 1 and lines[0].endswith(" FAIL")
     assert out.count("overlap_imaginary_part") == 1
+
+
+def _reference_csv(header, columns):
+    """The per-value writer ``_write_csv`` replaced, kept as the reference."""
+    lines = [header + "\n"]
+    for row in zip(*columns):
+        lines.append(",".join("{:.12e}".format(v) for v in row) + "\n")
+    return "".join(lines).encode("ascii")
+
+
+def _written_csv(tmp_path, header, columns):
+    out = tmp_path / "w.csv"
+    cli._write_csv(str(out), header, columns)
+    return out.read_bytes()
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, np.exp(-800.0),  # underflows to zero
+    5e-324, -5e-324, 2.2250738585072009e-308,  # subnormals
+    np.inf, -np.inf, np.nan,
+    np.finfo(float).max, -np.finfo(float).max, np.finfo(float).tiny,
+    # exact ties at the 13th significant digit, and their neighbours
+    10000000000005.0, 10000000000015.0, 99999999999995.0, 5000000000002.5,
+    2.0**-20, -(2.0**-20),
+    np.nextafter(10000000000005.0, np.inf), np.nextafter(10000000000005.0, 0.0),
+    1.0, -1.0, np.pi, 1e300, 1e-300,
+]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10000])
+def test_write_csv_matches_per_value_format(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    edge = np.resize(np.array(_EDGE_VALUES), rows)
+    columns = [
+        edge,
+        rng.permutation(edge),
+        rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows),
+        np.exp(-rng.uniform(0.0, 800.0, rows)),  # underflows past ~745
+    ]
+    header = "a,b,c,d"
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+# Half the draws cross a block boundary; plain integers(0, 9000) mostly stays small.
+_ROWS = st.integers(0, 9000) | st.integers(4000, 9000)
+_TABLES = st.tuples(_ROWS, st.integers(1, 6)).flatmap(
+    lambda shape: arrays(np.float64, shape,
+                         elements=st.floats(allow_nan=True, allow_infinity=True,
+                                            allow_subnormal=True))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=_TABLES)
+def test_write_csv_matches_per_value_format_property(tmp_path_factory, table):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    columns = list(table.T)
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    short = tmp_path / "short.csv"
+    assert main(["series", "--samples", "7", "-o", str(short)]) == 0
+    assert _read_csv(short)[1].shape == (7, 6)
+    assert main(["series", "--frobnicate", "-o", str(short)]) == 2
+    config = tmp_path / "run.cfg"
+    config.write_text("samples = 9\nsigma = 2e-5\n")
+    configured = tmp_path / "configured.csv"
+    assert main(["series", "--config", str(config), "-o", str(configured)]) == 0
+    assert _read_csv(configured)[1].shape == (9, 6)
+
+    default = tmp_path / "default.csv"
+    assert main(["series", "-o", str(default)]) == 0
+    first_in_process = tmp_path / "first.csv"
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys; from sgcoherence.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, "series", "-o", str(first_in_process)],
+                   env=env, check=True, timeout=120)
+    assert _read_csv(default)[1].shape == (201, 6)
+    assert default.read_bytes() == first_in_process.read_bytes()

@@ -49,6 +49,21 @@ def test_bounds(typical):
     assert np.all(c <= 1.0)
 
 
+@pytest.mark.parametrize("sigma_scale", [1.0, 10.0, 0.1])
+def test_scalar_time_matches_array_element(typical, sigma_scale):
+    # A float t and an array of times take the same arithmetic, to the bit.
+    params = ExperimentParams(
+        mass=typical.mass,
+        field_gradient=typical.field_gradient,
+        sigma0=typical.sigma0 * sigma_scale,
+        magnetic_moment=typical.magnetic_moment,
+    )
+    t = np.linspace(0.0, 5 * decoherence_time(params), 20000)
+    on_array = np.asarray(coherence(params, t))
+    one_by_one = np.array([coherence(params, float(x)) for x in t])
+    assert np.count_nonzero(on_array != one_by_one) == 0
+
+
 def test_exponents_both_nonnegative_and_growing(typical):
     t = np.geomspace(1e-12, 1e-4, 100)
     term_p, term_z = coherence_exponents(typical, t)
