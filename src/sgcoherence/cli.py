@@ -31,8 +31,6 @@ _FIELD = "%.12e"  # 13 significant digits
 #: memory to ~1 MB instead of the whole table's.
 _CSV_BLOCK_ROWS = 4096
 
-_PARAM_KEYS = ("mass", "gradient", "moment", "sigma", "alpha", "beta")
-
 
 def _complex_pair(text: str) -> complex:
     try:

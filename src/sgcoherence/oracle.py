@@ -25,7 +25,6 @@ are added to the reported error instead of being silently dropped.
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -188,8 +187,16 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
 
     ``extra_error`` is a bound on everything outside the panels (truncated
     tails); it is part of the reported error and of the convergence target.
-    Raises ``QuadratureConvergenceError`` when the subdivision budget runs
-    out, carrying the best estimate.
+
+    Refinement runs in passes. Each pass sorts the panels by error and
+    bisects, in one batch, the fewest worst panels whose removal would
+    leave at most ``abs_tol - extra_error`` on the rest: the panels that
+    splitting one at a time, worst first, would reach if the children had
+    no error. Every panel is still a qk15 panel with QUADPACK's error
+    heuristic, and ``max_subdivisions`` still caps the total number of
+    splits: a pass splits at most what is left of it. Returns
+    ``(value, error_bound, splits)``; raises ``QuadratureConvergenceError``
+    when the budget runs out, carrying the best estimate.
     """
     if edges.size > _MAX_INITIAL_PANELS + 1:
         raise QuadratureConvergenceError(
@@ -199,64 +206,44 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
         )
     centers = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * np.diff(edges)
-    if centers.size == 0:
-        return 0.0 + 0.0j, extra_error, 0
-
     vals, errs = _gk_panels(integrand, centers, halfw)
-    panel_err = float(errs.sum())
-    if panel_err + extra_error <= abs_tol:
-        return complex(vals.sum()), panel_err + extra_error, 0
+    total_err = float(errs.sum()) + extra_error
 
     # Only the panel part of the error is reducible by subdividing.
     panel_target = abs_tol - extra_error
-    if panel_target <= 0.0:
+    if total_err > abs_tol and panel_target <= 0.0:
         raise QuadratureConvergenceError(
             f"{what}: truncation bounds alone exceed the tolerance {abs_tol:.3e}",
             estimate=complex(vals.sum()),
-            error_bound=panel_err + extra_error,
+            error_bound=total_err,
         )
 
-    # Heap-driven refinement of the worst panels.
-    centers_l = list(centers)
-    halfw_l = list(halfw)
-    vals_l = list(vals)
-    errs_l = list(errs)
-    heap = [(-e, i) for i, e in enumerate(errs_l)]
-    heapq.heapify(heap)
     splits = 0
     max_subdivisions = int(max_subdivisions)
-    total_err = panel_err + extra_error
     while total_err > abs_tol:
-        if splits >= max_subdivisions or not heap:
-            estimate = complex(np.sum(np.asarray(vals_l)))
+        order = np.argsort(errs)
+        n_keep = int(np.searchsorted(np.cumsum(errs[order]), panel_target, side="right"))
+        # At least one: the running sum and errs.sum() may round apart.
+        n_split = min(max(errs.size - n_keep, 1), max_subdivisions - splits)
+        if n_split <= 0:
             raise QuadratureConvergenceError(
                 f"{what}: tolerance {abs_tol:.3e} not reached after {splits} subdivisions",
-                estimate=estimate,
+                estimate=complex(vals.sum()),
                 error_bound=total_err,
             )
-        neg_err, idx = heapq.heappop(heap)
-        if -neg_err != errs_l[idx]:
-            continue  # stale heap entry
-        c0, h0 = centers_l[idx], halfw_l[idx]
-        h_child = 0.5 * h0
-        child_c = np.array([c0 - h_child, c0 + h_child])
-        child_h = np.array([h_child, h_child])
+        keep, worst = order[:-n_split], order[-n_split:]
+        h_child = 0.5 * halfw[worst]
+        child_c = np.concatenate([centers[worst] - h_child, centers[worst] + h_child])
+        child_h = np.concatenate([h_child, h_child])
         child_v, child_e = _gk_panels(integrand, child_c, child_h)
-        total_err += float(child_e.sum()) - errs_l[idx]
-        splits += 1
+        centers = np.concatenate([centers[keep], child_c])
+        halfw = np.concatenate([halfw[keep], child_h])
+        vals = np.concatenate([vals[keep], child_v])
+        errs = np.concatenate([errs[keep], child_e])
+        splits += n_split
+        total_err = float(errs.sum()) + extra_error
 
-        centers_l[idx] = child_c[0]
-        halfw_l[idx] = h_child
-        vals_l[idx] = child_v[0]
-        errs_l[idx] = float(child_e[0])
-        heapq.heappush(heap, (-errs_l[idx], idx))
-        centers_l.append(child_c[1])
-        halfw_l.append(h_child)
-        vals_l.append(child_v[1])
-        errs_l.append(float(child_e[1]))
-        heapq.heappush(heap, (-errs_l[-1], len(errs_l) - 1))
-
-    return complex(np.sum(np.asarray(vals_l))), total_err, splits
+    return complex(vals.sum()), total_err, splits
 
 
 def _uniform_edges(lo: float, hi: float, wavenumber: float, min_ppo: float,
@@ -419,22 +406,18 @@ def _kernel_tail_remainder(c: float, zstar: float, outward: float, u_end: float,
     inv = 1.0 / (4.0 * sigma0 * sigma0)
     edges = np.geomspace(c, u_end, 33)
     x = zstar + outward * edges
-    total = 0.0
-    for k in range(edges.size - 1):
-        u0 = edges[k]
-        x0, x1 = x[k], x[k + 1]
-        x_lo, x_hi = (x0, x1) if x0 <= x1 else (x1, x0)
-        x_near = 0.0 if x_lo <= 0.0 <= x_hi else (x_lo if x_lo > 0.0 else x_hi)
-        env_max = math.exp(-min(x_near * x_near * inv, 1400.0))
-        x_hat = max(abs(x0), abs(x1))
-        d1 = 2.0 * x_hat * inv                                  # |g'|/g
-        d2 = 4.0 * x_hat * x_hat * inv * inv + 2.0 * inv        # |g''|/g
-        d3 = 8.0 * x_hat**3 * inv**3 + 12.0 * x_hat * inv * inv  # |g'''|/g
-        u2 = u0 * u0
-        u3 = u2 * u0
-        term = d3 / u3 + 6.0 * d2 / (u3 * u0) + 15.0 * d1 / (u3 * u2) + 15.0 / (u3 * u3)
-        total += env_max * term * (edges[k + 1] - u0)
-    return 2.0 * total / (8.0 * a * a * a)
+    x0, x1 = x[:-1], x[1:]
+    x_near = np.clip(0.0, np.minimum(x0, x1), np.maximum(x0, x1))
+    env_max = np.exp(-np.minimum(x_near * x_near * inv, 1400.0))
+    x_hat = np.maximum(np.abs(x0), np.abs(x1))
+    d1 = 2.0 * x_hat * inv                                  # |g'|/g
+    d2 = 4.0 * x_hat * x_hat * inv * inv + 2.0 * inv        # |g''|/g
+    d3 = 8.0 * x_hat**3 * inv**3 + 12.0 * x_hat * inv * inv  # |g'''|/g
+    u0 = edges[:-1]
+    u2 = u0 * u0
+    u3 = u2 * u0
+    term = d3 / u3 + 6.0 * d2 / (u3 * u0) + 15.0 * d1 / (u3 * u2) + 15.0 / (u3 * u3)
+    return 2.0 * float(np.sum(env_max * term * np.diff(edges))) / (8.0 * a * a * a)
 
 
 def _interior_cuts(lo: float, hi: float, lo_full: float, hi_full: float):
@@ -602,8 +585,6 @@ def packet_norm_quadrature(params: ExperimentParams, branch: int, t: float,
     spec = spec or QuadratureSpec()
     s = verify_branch(branch)
     t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
     k = kinematics(params, t)
     center = s * k.delta_z_bar
     halfwidth = spec.window_halfwidth_sigmas * k.sigma_t
@@ -620,8 +601,6 @@ def total_density_norm_quadrature(params: ExperimentParams, t: float,
     """Quadrature of the spin-traced position density; should be 1."""
     spec = spec or QuadratureSpec()
     t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
     k = kinematics(params, t)
     halfwidth = k.delta_z_bar + spec.window_halfwidth_sigmas * k.sigma_t
     edges = _uniform_edges(-halfwidth, halfwidth, 0.0,

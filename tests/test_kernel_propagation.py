@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgcoherence import (
     QuadratureConvergenceError,
@@ -13,6 +15,7 @@ from sgcoherence import (
     packet_density,
     propagate_via_kernel,
 )
+from sgcoherence import oracle
 
 KERNEL_SPEC = QuadratureSpec(abs_tol=1e-5)
 
@@ -117,3 +120,51 @@ def test_sample_records_carry_grid(typical):
     z = np.array([-1e-5, 0.0, 1e-5])
     samples = propagate_via_kernel(typical, +1, z, 1e-6, KERNEL_SPEC)
     assert [s.z for s in samples] == list(z)
+
+
+def _tail_remainder_per_cell(c, zstar, outward, u_end, a, sigma0):
+    """Reference: the remainder bound of one tail summed one cell at a time."""
+    if u_end <= c:
+        return 0.0
+    inv = 1.0 / (4.0 * sigma0 * sigma0)
+    edges = np.geomspace(c, u_end, 33)
+    x = zstar + outward * edges
+    total = 0.0
+    for k in range(edges.size - 1):
+        u0 = edges[k]
+        x0, x1 = x[k], x[k + 1]
+        x_lo, x_hi = (x0, x1) if x0 <= x1 else (x1, x0)
+        x_near = 0.0 if x_lo <= 0.0 <= x_hi else (x_lo if x_lo > 0.0 else x_hi)
+        env_max = math.exp(-min(x_near * x_near * inv, 1400.0))
+        x_hat = max(abs(x0), abs(x1))
+        d1 = 2.0 * x_hat * inv
+        d2 = 4.0 * x_hat * x_hat * inv * inv + 2.0 * inv
+        d3 = 8.0 * x_hat**3 * inv**3 + 12.0 * x_hat * inv * inv
+        u2 = u0 * u0
+        u3 = u2 * u0
+        term = d3 / u3 + 6.0 * d2 / (u3 * u0) + 15.0 * d1 / (u3 * u2) + 15.0 / (u3 * u3)
+        total += env_max * term * (edges[k + 1] - u0)
+    return 2.0 * total / (8.0 * a * a * a)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    sigma0=_log_uniform(-7.0, -3.0),
+    a=_log_uniform(0.0, 14.0),
+    c_over_sigma0=_log_uniform(-3.0, math.log10(30.0)),
+    end_over_c=_log_uniform(-0.5, 3.0),  # below 1: no tail, the bound is 0
+    zstar_over_sigma0=st.floats(-30.0, 30.0),  # cells straddle 0 or hit the clamp
+    outward=st.sampled_from([-1.0, 1.0]),
+)
+def test_tail_remainder_matches_per_cell_sum(sigma0, a, c_over_sigma0, end_over_c,
+                                             zstar_over_sigma0, outward):
+    c = c_over_sigma0 * sigma0
+    args = (c, zstar_over_sigma0 * sigma0, outward, end_over_c * c, a, sigma0)
+    reference = _tail_remainder_per_cell(*args)
+    value = oracle._kernel_tail_remainder(*args)
+    assert (value == 0.0) == (reference == 0.0)
+    assert value == pytest.approx(reference, rel=1e-13, abs=0.0)

@@ -1,5 +1,6 @@
 """Overlap quadrature oracle: agreement, self-consistency, failure modes."""
 
+import heapq
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sgcoherence import (
     overlap_quadrature,
     packet_amplitude,
 )
+from sgcoherence import oracle
 
 
 def test_spec_validation():
@@ -113,3 +115,93 @@ def test_overlap_integrand_is_branch_product(typical):
         a = typical.mass / (2.0 * typical.hbar * t) if t > 0.0 else 0.0
         phase_noise = a * np.max(z) ** 2 * 5e-16 + 1e-12
         assert float(np.abs(np.angle(fused / reference)).max()) <= phase_noise
+
+
+def _heap_adaptive(integrand, edges, abs_tol, max_subdivisions, extra_error=0.0):
+    """Reference refinement: split the single worst panel at a time from a heap."""
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    halfw = 0.5 * np.diff(edges)
+    vals, errs = oracle._gk_panels(integrand, centers, halfw)
+    centers_l, halfw_l, vals_l, errs_l = list(centers), list(halfw), list(vals), list(errs)
+    heap = [(-e, i) for i, e in enumerate(errs_l)]
+    heapq.heapify(heap)
+    splits = 0
+    total_err = float(errs.sum()) + extra_error
+    while total_err > abs_tol:
+        if splits >= max_subdivisions:
+            raise QuadratureConvergenceError("budget", complex(sum(vals_l)), total_err)
+        neg_err, idx = heapq.heappop(heap)
+        if -neg_err != errs_l[idx]:
+            continue  # stale heap entry
+        h_child = 0.5 * halfw_l[idx]
+        child_c = np.array([centers_l[idx] - h_child, centers_l[idx] + h_child])
+        child_v, child_e = oracle._gk_panels(integrand, child_c, np.array([h_child, h_child]))
+        total_err += float(child_e.sum()) - errs_l[idx]
+        splits += 1
+        centers_l[idx], halfw_l[idx] = child_c[0], h_child
+        vals_l[idx], errs_l[idx] = child_v[0], float(child_e[0])
+        heapq.heappush(heap, (-errs_l[idx], idx))
+        centers_l.append(child_c[1])
+        halfw_l.append(h_child)
+        vals_l.append(child_v[1])
+        errs_l.append(float(child_e[1]))
+        heapq.heappush(heap, (-errs_l[-1], len(errs_l) - 1))
+    return complex(np.sum(np.asarray(vals_l))), total_err, splits
+
+
+@pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
+def test_adaptive_refines_to_tolerance_and_raises_on_budget(abs_tol):
+    integrand = lambda z: np.exp(-0.5 * z * z + 3j * z)
+    edges = np.linspace(-10.0, 10.0, 5)
+    exact = math.sqrt(2.0 * math.pi) * math.exp(-4.5)
+    value, bound, splits = oracle._adaptive(integrand, edges, abs_tol, 2**20)
+    assert splits > 0
+    assert abs(value - exact) <= bound <= abs_tol
+
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        oracle._adaptive(integrand, edges, abs_tol, splits - 1)
+    assert exc_info.value.error_bound > abs_tol
+    assert f"after {splits - 1} subdivisions" in str(exc_info.value)
+
+
+def test_adaptive_splits_as_many_panels_as_heap_refinement(typical, monkeypatch):
+    calls = []
+    original = oracle._adaptive
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(oracle, "_adaptive", recording)
+    tau = decoherence_time(typical)
+    spec = QuadratureSpec(abs_tol=1e-12)
+    for t in np.geomspace(1e-3, 3e3, 8) * tau:
+        overlap_quadrature(typical, float(t), spec)
+
+    refined = 0
+    for (integrand, edges, abs_tol, max_subdivisions), kwargs, (value, _, splits) in calls:
+        ref_value, _, ref_splits = _heap_adaptive(
+            integrand, edges, abs_tol, max_subdivisions, kwargs["extra_error"]
+        )
+        assert splits == ref_splits
+        assert abs(value - ref_value) <= 1e-15
+        refined += splits > 0
+    assert refined > 0
+
+
+def test_adaptive_splits_when_running_sum_rounds_below_total(monkeypatch):
+    # Summed in sorted order these panel errors come one ulp under errs.sum(),
+    # so at this tolerance every panel "fits" although the total does not.
+    errs = np.array([0.0006369616873214543, 0.0002697867137638703, 0.0004097352393619469])
+    abs_tol = float(np.cumsum(np.sort(errs))[-1])
+    assert float(errs.sum()) > abs_tol
+
+    def panels(integrand, centers, halfw):
+        first = centers.size == errs.size
+        return np.zeros(centers.size, complex), errs if first else np.zeros(centers.size)
+
+    monkeypatch.setattr(oracle, "_gk_panels", panels)
+    _, bound, splits = oracle._adaptive(None, np.linspace(0.0, 1.0, 4), abs_tol, 10)
+    assert splits == 1
+    assert bound <= abs_tol

@@ -13,6 +13,7 @@ from sgcoherence import (
     packet_amplitude,
     packet_density,
     packet_norm_quadrature,
+    total_density_norm_quadrature,
     total_position_density,
     typical_params,
 )
@@ -131,6 +132,14 @@ def test_bad_branch_rejected(typical):
 def test_negative_time_rejected(typical):
     with pytest.raises(ValueError):
         packet_amplitude(typical, +1, 0.0, -1e-9)
+
+
+@pytest.mark.parametrize("t", [-1e-9, math.nan, math.inf])
+def test_norm_quadratures_reject_bad_times(typical, t):
+    with pytest.raises(ValueError):
+        packet_norm_quadrature(typical, +1, t)
+    with pytest.raises(ValueError):
+        total_density_norm_quadrature(typical, t)
 
 
 def _phase_50_digits(params, z, t):
