@@ -61,15 +61,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_quadrature_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = oracle.QuadratureSpec()
     group = parser.add_argument_group("quadrature overrides")
     group.add_argument("--abs-tol", type=float, default=None,
                        help="absolute tolerance for every quadrature check")
-    group.add_argument("--max-subdivisions", type=int, default=defaults.max_subdivisions)
-    group.add_argument("--window-sigmas", type=float,
-                       default=defaults.window_halfwidth_sigmas)
-    group.add_argument("--min-points-per-oscillation", type=float,
-                       default=defaults.min_points_per_oscillation)
 
 
 # argparse's stock matcher rejects negative numbers in scientific notation
@@ -247,12 +241,7 @@ def _run_validate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
 
     def spec(default_tol: float) -> oracle.QuadratureSpec:
-        return oracle.QuadratureSpec(
-            abs_tol=args.abs_tol if args.abs_tol is not None else default_tol,
-            max_subdivisions=args.max_subdivisions,
-            window_halfwidth_sigmas=args.window_sigmas,
-            min_points_per_oscillation=args.min_points_per_oscillation,
-        )
+        return oracle.QuadratureSpec(args.abs_tol if args.abs_tol is not None else default_tol)
 
     lines: list[str] = []
     all_ok = True

@@ -16,10 +16,12 @@ to validate:
     decay time.
 
 The integrands oscillate; panels are laid out so every local oscillation
-is sampled at least ``min_points_per_oscillation`` times, and regions that
+is sampled at least ``_POINTS_PER_OSCILLATION`` times, and regions that
 provably contribute less than the tolerance (Gaussian tails, fast-phase
 tails far from the stationary point) are replaced by explicit bounds that
-are added to the reported error instead of being silently dropped.
+are added to the reported error instead of being silently dropped. The
+only setting is the absolute tolerance of ``QuadratureSpec``; the window,
+the resolution and the subdivision budget are the constants below.
 """
 
 from __future__ import annotations
@@ -106,31 +108,33 @@ _KERNEL_PANEL_BUDGET = 2**19
 #: Nodes evaluated per integrand call while batching panels.
 _CHUNK_NODES = 393216
 
+#: Half-width of every integration window, in packet widths. A density or
+#: overlap envelope exp(-z^2/(2 sigma^2)) keeps ~4e-33 of its mass beyond it,
+#: far under any layout's rounding floor; the kernel convolution integrates
+#: an amplitude and adds an explicit bound for what lies beyond.
+_WINDOW_SIGMAS = 12.0
+
+#: Fewest samples per local oscillation of an integrand's phase in the
+#: initial panel layout (a 15-node panel spans at most 15/20 of a period).
+_POINTS_PER_OSCILLATION = 20.0
+
+#: Most panel splits one adaptive integral may make after its initial layout.
+_MAX_SUBDIVISIONS = 2**20
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and resolution settings shared by the quadrature oracles.
+    """The tolerance shared by the quadrature oracles.
 
     ``abs_tol`` is an absolute tolerance in the units of the integral
     (dimensionless for overlaps, m^(-1/2) for propagated amplitudes).
-    ``max_subdivisions`` caps the number of adaptive panel splits performed
-    after the initial oscillation-resolving panel layout.
     """
 
     abs_tol: float = 1e-9
-    max_subdivisions: int = 2**20
-    window_halfwidth_sigmas: float = 12.0
-    min_points_per_oscillation: float = 20.0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
             raise ValueError("abs_tol must be positive and finite")
-        if not (0 <= self.max_subdivisions < math.inf):
-            raise ValueError("max_subdivisions must be finite and >= 0")
-        if not (6.0 <= self.window_halfwidth_sigmas < math.inf):
-            raise ValueError("window_halfwidth_sigmas must be finite and >= 6")
-        if not (8.0 <= self.min_points_per_oscillation < math.inf):
-            raise ValueError("min_points_per_oscillation must be finite and >= 8")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -153,10 +157,19 @@ class KernelSample:
 
 
 def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
-    """Gauss-Kronrod 15(7) values and error estimates for a batch of panels."""
+    """Gauss-Kronrod 15(7) values, error estimates and floors for a batch of panels.
+
+    Returns ``(values, errors, floors)``. The floor of a panel is QUADPACK's
+    rounding floor ``50 eps resabs h``, with ``resabs h`` the Kronrod
+    integral of ``|f|`` over the panel; each error is at least its floor.
+    Summed over panels the floors approximate ``50 eps int |f|``, which
+    bisecting panels of a layout that resolves ``|f|`` leaves unchanged, so
+    no refinement brings the total error under it.
+    """
     n = centers.size
     vals = np.empty(n, dtype=complex)
     errs = np.empty(n, dtype=float)
+    floors = np.empty(n, dtype=float)
     per_chunk = max(1, _CHUNK_NODES // 15)
     for start in range(0, n, per_chunk):
         sl = slice(start, min(n, start + per_chunk))
@@ -176,9 +189,11 @@ def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
         )
         scaled[~mask] = err[~mask]
         h1 = halfw[sl]
-        errs[sl] = np.maximum(scaled, 50.0 * _EPS * resabs) * h1
+        floor = 50.0 * _EPS * resabs
+        errs[sl] = np.maximum(scaled, floor) * h1
+        floors[sl] = floor * h1
         vals[sl] = resk * h1
-    return vals, errs
+    return vals, errs, floors
 
 
 def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: int,
@@ -193,10 +208,15 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
     leave at most ``abs_tol - extra_error`` on the rest: the panels that
     splitting one at a time, worst first, would reach if the children had
     no error. Every panel is still a qk15 panel with QUADPACK's error
-    heuristic, and ``max_subdivisions`` still caps the total number of
-    splits: a pass splits at most what is left of it. Returns
-    ``(value, error_bound, splits)``; raises ``QuadratureConvergenceError``
-    when the budget runs out, carrying the best estimate.
+    heuristic, and ``max_subdivisions`` (the oracles pass
+    ``_MAX_SUBDIVISIONS``) caps the total number of splits: a pass splits
+    at most what is left of it. Returns ``(value, error_bound, splits)``.
+
+    The tolerance is given up on at once, right after the initial layout,
+    when ``extra_error`` plus the panels' rounding floor (see
+    ``_gk_panels``) already reaches ``abs_tol``: no subdivision can lower
+    either. Both that and a spent budget raise
+    ``QuadratureConvergenceError`` carrying the best estimate and its bound.
     """
     if edges.size > _MAX_INITIAL_PANELS + 1:
         raise QuadratureConvergenceError(
@@ -206,20 +226,22 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
         )
     centers = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * np.diff(edges)
-    vals, errs = _gk_panels(integrand, centers, halfw)
+    vals, errs, floors = _gk_panels(integrand, centers, halfw)
     total_err = float(errs.sum()) + extra_error
 
-    # Only the panel part of the error is reducible by subdividing.
+    # Only the panel part of the error above its rounding floor is
+    # reducible by subdividing.
     panel_target = abs_tol - extra_error
-    if total_err > abs_tol and panel_target <= 0.0:
+    floor = float(floors.sum())
+    if total_err > abs_tol and floor >= panel_target:
         raise QuadratureConvergenceError(
-            f"{what}: truncation bounds alone exceed the tolerance {abs_tol:.3e}",
+            f"{what}: tolerance {abs_tol:.3e} is under the truncation bounds "
+            f"{extra_error:.3e} plus the panels' rounding floor {floor:.3e}",
             estimate=complex(vals.sum()),
             error_bound=total_err,
         )
 
     splits = 0
-    max_subdivisions = int(max_subdivisions)
     while total_err > abs_tol:
         order = np.argsort(errs)
         n_keep = int(np.searchsorted(np.cumsum(errs[order]), panel_target, side="right"))
@@ -235,7 +257,7 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
         h_child = 0.5 * halfw[worst]
         child_c = np.concatenate([centers[worst] - h_child, centers[worst] + h_child])
         child_h = np.concatenate([h_child, h_child])
-        child_v, child_e = _gk_panels(integrand, child_c, child_h)
+        child_v, child_e, _ = _gk_panels(integrand, child_c, child_h)
         centers = np.concatenate([centers[keep], child_c])
         halfw = np.concatenate([halfw[keep], child_h])
         vals = np.concatenate([vals[keep], child_v])
@@ -246,13 +268,13 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
     return complex(vals.sum()), total_err, splits
 
 
-def _uniform_edges(lo: float, hi: float, wavenumber: float, min_ppo: float,
+def _uniform_edges(lo: float, hi: float, wavenumber: float,
                    envelope_scale: float) -> np.ndarray:
     """Uniform panels resolving a constant-wavenumber phase and the envelope."""
     span = hi - lo
     width = 0.5 * envelope_scale
     if wavenumber > 0.0:
-        width = min(width, 15.0 * 2.0 * math.pi / (min_ppo * wavenumber))
+        width = min(width, 15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * wavenumber))
     n = max(4, int(math.ceil(span / width)))
     if n > _MAX_INITIAL_PANELS:
         raise QuadratureConvergenceError(
@@ -263,16 +285,16 @@ def _uniform_edges(lo: float, hi: float, wavenumber: float, min_ppo: float,
     return np.linspace(lo, hi, n + 1)
 
 
-def _chirp_edges(lo: float, hi: float, a: float, min_ppo: float,
+def _chirp_edges(lo: float, hi: float, a: float,
                  envelope_scale: float) -> np.ndarray:
     """Panels for the phase a*u^2 on [lo, hi], equally spaced in phase.
 
-    Panel phase increments of 15*pi/min_ppo keep at least ``min_ppo``
-    samples per local oscillation even at the fast edge of each panel; a
-    uniform grid at half the envelope scale is merged in so slowly
+    Panel phase increments of 15*pi/_POINTS_PER_OSCILLATION keep at least
+    that many samples per local oscillation even at the fast edge of each
+    panel; a uniform grid at half the envelope scale is merged in so slowly
     oscillating stretches still resolve the Gaussian.
     """
-    dphi = 15.0 * math.pi / min_ppo
+    dphi = 15.0 * math.pi / _POINTS_PER_OSCILLATION
     pieces = [np.array([lo, hi])]
     # Right side 0..hi and mirrored left side 0..-lo, in |u| coordinates.
     for sign, extent in ((1.0, hi), (-1.0, -lo)):
@@ -303,9 +325,9 @@ def overlap_quadrature(params: ExperimentParams, t: float,
 
     Integrates the product of the closed-form branch amplitudes over
     ``[-(dzbar + W sigma(t)), +(dzbar + W sigma(t))]`` with
-    ``W = window_halfwidth_sigmas``. The product's phase oscillates at the
-    cross wavenumber ``k_c = (dp/hbar)(1 + (sigma0/sigma(t))^2)``; panels
-    resolve it with at least ``min_points_per_oscillation`` samples.
+    ``W = _WINDOW_SIGMAS``. The product's phase oscillates at the cross
+    wavenumber ``k_c = (dp/hbar)(1 + (sigma0/sigma(t))^2)``; panels resolve
+    it with at least ``_POINTS_PER_OSCILLATION`` samples.
 
     Gaussian-tail stretches and, for extreme phase rates, the provably
     cancelling oscillatory remainder are replaced by explicit bounds that
@@ -331,8 +353,9 @@ def overlap_quadrature(params: ExperimentParams, t: float,
 
     # Fast-phase short circuit: two integrations by parts bound the whole
     # integral once the cross phase is extreme, with no sampling at all.
-    window = dzbar + spec.window_halfwidth_sigmas * sigma_t
-    if k_cross > 0.0:
+    # Where sigma_t * k_cross^2 underflows the bound is infinite: skip it.
+    window = dzbar + _WINDOW_SIGMAS * sigma_t
+    if sigma_t * k_cross**2 > 0.0:
         edge = peak * math.exp(-0.5 * min(window / sigma_t, 37.0) ** 2)
         ibp = (
             2.0 * edge / k_cross
@@ -342,22 +365,24 @@ def overlap_quadrature(params: ExperimentParams, t: float,
         if ibp <= tol_tail:
             return (0.0 + 0.0j, ibp) if full_output else 0.0 + 0.0j
 
-    # Live window: where the Gaussian envelope still matters.
+    # Live window: where the Gaussian envelope still matters. A cut at or
+    # past the window leaves only the mass beyond it, which _WINDOW_SIGMAS
+    # puts under the rounding floor.
     z_live = window
     tail_bound = 0.0
-    for s in np.arange(1.0, spec.window_halfwidth_sigmas + dzbar / sigma_t, 0.25):
+    for s in np.arange(1.0, _WINDOW_SIGMAS + dzbar / sigma_t, 0.25):
         cand = 2.0 * peak * sigma_t**2 / (s * sigma_t) * math.exp(-0.5 * s * s)
         if cand <= tol_tail:
             z_live = min(s * sigma_t, window)
             tail_bound = cand if z_live < window else 0.0
             break
 
-    edges = _uniform_edges(-z_live, z_live, k_cross, spec.min_points_per_oscillation, sigma_t)
+    edges = _uniform_edges(-z_live, z_live, k_cross, sigma_t)
     amp = (2.0 * math.pi * sigma_t**2) ** -0.25
     amp2, inv4s2 = amp * amp, 1.0 / (4.0 * sigma_t**2)
     integrand = lambda z: kernels.overlap_integrand(z, amp2, inv4s2, dzbar, k_cross)
     value, err, _ = _adaptive(
-        integrand, edges, spec.abs_tol, spec.max_subdivisions,
+        integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
         extra_error=tail_bound, what="overlap quadrature",
     )
     return (value, err) if full_output else value
@@ -438,8 +463,9 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     """Evolve the initial packet by convolving it with the branch propagator.
 
     For each output position the convolution integral is taken over the
-    initial-packet window ``|z'| <= W sigma0``. In the offset ``u`` from
-    the phase's stationary point the integrand is exactly
+    initial-packet window ``|z'| <= W sigma0`` with ``W = _WINDOW_SIGMAS``.
+    In the offset ``u`` from the phase's stationary point the integrand is
+    exactly
     ``const * exp(-(z* + u)^2/(4 sigma0^2)) * exp(i a u^2)``; panels near
     the stationary point are integrated by oscillation-resolving
     quadrature while the fast outer stretches are summed analytically by
@@ -469,10 +495,10 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     mod = math.sqrt(m / (2.0 * math.pi * hbar * t)) * (2.0 * math.pi * sigma0**2) ** -0.25
     cubic = (f * t / hbar) * (f * t * t) / (24.0 * m)
 
-    w_edge = spec.window_halfwidth_sigmas * sigma0
+    w_edge = _WINDOW_SIGMAS * sigma0
     # Initial packet mass beyond the window, plain absolute bound.
-    beyond_window = mod * (4.0 * sigma0 / spec.window_halfwidth_sigmas) * math.exp(
-        -0.25 * spec.window_halfwidth_sigmas**2
+    beyond_window = mod * (4.0 * sigma0 / _WINDOW_SIGMAS) * math.exp(
+        -0.25 * _WINDOW_SIGMAS**2
     )
     tol_tails = spec.abs_tol / 4.0
 
@@ -490,7 +516,7 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
 
         # Grow the live radius until the tail-series remainder is small
         # enough or the panel budget is exhausted.
-        dphi = 15.0 * math.pi / spec.min_points_per_oscillation
+        dphi = 15.0 * math.pi / _POINTS_PER_OSCILLATION
         radius = 8.0 * math.sqrt(math.pi / a)
         best = None
         for _ in range(200):
@@ -523,10 +549,10 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
             corr += const * _kernel_tail_correction(cut, env_c, denv, d2env, a)
 
         extra = rem + beyond_window
-        edges = _chirp_edges(lo, hi, a, spec.min_points_per_oscillation, sigma0)
+        edges = _chirp_edges(lo, hi, a, sigma0)
         integrand = lambda u: kernels.kernel_integrand(u, zstar, inv4s02, a, const)
         value, err, _ = _adaptive(
-            integrand, edges, spec.abs_tol, spec.max_subdivisions,
+            integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
             extra_error=extra, what=f"kernel convolution at z={z:.6g}",
         )
         samples.append(KernelSample(z=float(z), value=value + corr))
@@ -587,11 +613,10 @@ def packet_norm_quadrature(params: ExperimentParams, branch: int, t: float,
     t = float(t)
     k = kinematics(params, t)
     center = s * k.delta_z_bar
-    halfwidth = spec.window_halfwidth_sigmas * k.sigma_t
-    edges = _uniform_edges(center - halfwidth, center + halfwidth, 0.0,
-                           spec.min_points_per_oscillation, k.sigma_t)
+    halfwidth = _WINDOW_SIGMAS * k.sigma_t
+    edges = _uniform_edges(center - halfwidth, center + halfwidth, 0.0, k.sigma_t)
     integrand = lambda z: np.abs(packet_amplitude(params, s, z, t)) ** 2 + 0.0j
-    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, spec.max_subdivisions,
+    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
                               what="packet norm")
     return float(value.real), err
 
@@ -602,9 +627,8 @@ def total_density_norm_quadrature(params: ExperimentParams, t: float,
     spec = spec or QuadratureSpec()
     t = float(t)
     k = kinematics(params, t)
-    halfwidth = k.delta_z_bar + spec.window_halfwidth_sigmas * k.sigma_t
-    edges = _uniform_edges(-halfwidth, halfwidth, 0.0,
-                           spec.min_points_per_oscillation, k.sigma_t)
+    halfwidth = k.delta_z_bar + _WINDOW_SIGMAS * k.sigma_t
+    edges = _uniform_edges(-halfwidth, halfwidth, 0.0, k.sigma_t)
     w_plus = abs(params.alpha) ** 2
     w_minus = abs(params.beta) ** 2
 
@@ -613,6 +637,6 @@ def total_density_norm_quadrature(params: ExperimentParams, t: float,
         d_minus = np.abs(packet_amplitude(params, -1, z, t)) ** 2
         return w_plus * d_plus + w_minus * d_minus + 0.0j
 
-    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, spec.max_subdivisions,
+    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
                               what="total density norm")
     return float(value.real), err

@@ -206,7 +206,7 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     blocker.write_text("")
     assert main(["series", "-o", str(blocker / "x.csv")]) == 3
     capsys.readouterr()
-    assert main(["validate", "--abs-tol", "1e-15", "--max-subdivisions", "8"]) == 1
+    assert main(["validate", "--abs-tol", "1e-15"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
     # validate passes end-to-end on defaults

@@ -197,6 +197,16 @@ def test_config_file_missing(tmp_path, capsys):
     assert main(["report", "--config", str(tmp_path / "absent.cfg")]) == 3
 
 
+def test_config_key_without_flag_exits_2(tmp_path, capsys):
+    # The window, resolution and subdivision budget are fixed: keys naming
+    # them are rejected like any unknown flag.
+    for key in ("max-subdivisions", "window-sigmas", "min-points-per-oscillation"):
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"{key} = 8\n")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_validate_defaults_pass(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
@@ -208,14 +218,13 @@ def test_validate_defaults_pass(capsys):
 
 
 def test_validate_rejects_non_finite_quadrature_settings(capsys):
-    for flag, value in (("--min-points-per-oscillation", "inf"),
-                        ("--window-sigmas", "inf"), ("--window-sigmas", "nan")):
-        assert main(["validate", flag, value]) == 2
-        assert "must be finite" in capsys.readouterr().err
+    for value in ("inf", "nan"):
+        assert main(["validate", "--abs-tol", value]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_validate_forced_failure(capsys):
-    assert main(["validate", "--abs-tol", "1e-15", "--max-subdivisions", "8"]) == 1
+    assert main(["validate", "--abs-tol", "1e-15"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
 
@@ -223,7 +232,7 @@ def test_validate_forced_failure(capsys):
 def test_validate_kernel_failure_fails_both_kernel_checks(capsys):
     # A kernel convolution that cannot converge fails its density and its
     # phase check alike, so every check keeps one line.
-    assert main(["validate", "--abs-tol", "1e-40", "--max-subdivisions", "0"]) == 1
+    assert main(["validate", "--abs-tol", "1e-40"]) == 1
     out = capsys.readouterr().out
     for t in ("2e-09", "1e-06", "1e-05"):
         for name in (f"kernel_density_match_t={t}", f"kernel_phase_constancy_t={t}"):

@@ -110,7 +110,7 @@ def test_t_nonpositive_rejected(typical):
 
 
 def test_unreachable_tolerance_raises(typical):
-    spec = QuadratureSpec(abs_tol=1e-15, max_subdivisions=8)
+    spec = QuadratureSpec(abs_tol=1e-15)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
         propagate_via_kernel(typical, +1, [1e-5], 2e-9, spec)
     assert exc_info.value.error_bound > 1e-15

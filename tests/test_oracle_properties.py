@@ -1,0 +1,63 @@
+"""Property tests: the overlap oracle's certificate holds across many beams.
+
+Beams are drawn log-uniform around ``typical_params()``: mass and field
+gradient over three decades either side, the initial width over two. Times
+are drawn in units of each beam's decay time tau, both over the decay
+itself ([0, 5] tau) and far past it (10^[0, 5] tau).
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgcoherence import (
+    ExperimentParams,
+    QuadratureConvergenceError,
+    QuadratureSpec,
+    coherence,
+    decoherence_time,
+    decoherence_time_bisection,
+    overlap_quadrature,
+    typical_params,
+)
+
+
+@st.composite
+def beams(draw) -> ExperimentParams:
+    base = typical_params()
+    decades = lambda span: 10.0 ** draw(st.floats(-span, span))
+    return ExperimentParams(
+        mass=base.mass * decades(3.0),
+        field_gradient=base.field_gradient * decades(3.0),
+        sigma0=base.sigma0 * decades(2.0),
+        magnetic_moment=base.magnetic_moment,
+    )
+
+
+_TIMES_IN_TAU = st.one_of(
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 5.0).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=beams(), u=_TIMES_IN_TAU, abs_tol=st.sampled_from([1e-9, 1e-12]))
+def test_overlap_error_within_reported_bound(params, u, abs_tol):
+    t = u * decoherence_time(params)
+    try:
+        value, bound = overlap_quadrature(
+            params, t, QuadratureSpec(abs_tol=abs_tol), full_output=True
+        )
+    except QuadratureConvergenceError as exc:
+        assert exc.error_bound > abs_tol
+        return
+    assert abs(value - float(coherence(params, t))) <= bound <= abs_tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=beams())
+def test_bisection_matches_closed_form_decay_time(params):
+    closed = decoherence_time(params)
+    rooted = decoherence_time_bisection(params, tol_rel=1e-10)
+    assert math.isclose(rooted, closed, rel_tol=1e-6)

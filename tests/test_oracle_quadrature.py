@@ -15,6 +15,7 @@ from sgcoherence import (
     kinematics,
     overlap_quadrature,
     packet_amplitude,
+    packet_norm_quadrature,
 )
 from sgcoherence import oracle
 
@@ -25,14 +26,8 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=float("nan"))
-    for bad in (-1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=bad)
-    for bad in (4.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            QuadratureSpec(window_halfwidth_sigmas=bad)
-        with pytest.raises(ValueError):
-            QuadratureSpec(min_points_per_oscillation=bad)
+    with pytest.raises(ValueError):
+        QuadratureSpec(abs_tol=float("inf"))
 
 
 def test_overlap_is_unity_at_t0(typical):
@@ -73,12 +68,62 @@ def test_self_consistency_on_tolerance_halving(typical):
 
 
 def test_convergence_failure_carries_estimate(typical):
-    spec = QuadratureSpec(abs_tol=1e-15, max_subdivisions=8)
+    spec = QuadratureSpec(abs_tol=1e-15)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
         overlap_quadrature(typical, 2e-9, spec)
     err = exc_info.value
     assert abs(err.estimate - coherence(typical, 2e-9)) < 1e-6
     assert err.error_bound > 1e-15
+
+
+def _count_gk_panel_calls(monkeypatch):
+    calls = []
+    original = oracle._gk_panels
+
+    def counting(integrand, centers, halfw):
+        calls.append(centers.size)
+        return original(integrand, centers, halfw)
+
+    monkeypatch.setattr(oracle, "_gk_panels", counting)
+    return calls
+
+
+def test_tolerance_under_rounding_floor_fails_after_initial_layout(typical, monkeypatch):
+    calls = _count_gk_panel_calls(monkeypatch)
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        overlap_quadrature(typical, 2e-9, QuadratureSpec(abs_tol=1e-15))
+    assert len(calls) == 1
+    err = exc_info.value
+    assert err.error_bound > 1e-15
+    assert abs(err.estimate - coherence(typical, 2e-9)) < 1e-6
+    assert "rounding floor" in str(err)
+
+
+def test_norm_tolerance_under_rounding_floor_fails_after_initial_layout(typical, monkeypatch):
+    calls = _count_gk_panel_calls(monkeypatch)
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        packet_norm_quadrature(typical, +1, 2e-9, QuadratureSpec(abs_tol=1e-15))
+    assert len(calls) == 1
+    assert exc_info.value.error_bound > 1e-15
+    assert abs(exc_info.value.estimate - 1.0) < 1e-12
+    assert "rounding floor" in str(exc_info.value)
+
+
+def test_bisection_keeps_the_rounding_floor():
+    # On a layout that resolves the envelope, the two halves of a panel
+    # carry the floor of the whole: the guard in _adaptive relies on it.
+    integrand = lambda z: np.exp(-0.5 * z * z + 3j * z)
+    edges = np.linspace(-10.0, 10.0, 41)
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    halfw = 0.5 * np.diff(edges)
+    _, _, floors = oracle._gk_panels(integrand, centers, halfw)
+    h = 0.5 * halfw
+    _, _, children = oracle._gk_panels(
+        integrand, np.concatenate([centers - h, centers + h]), np.concatenate([h, h])
+    )
+    pairs = children[: centers.size] + children[centers.size:]
+    assert abs(children.sum() - floors.sum()) <= 1e-14 * floors.sum()
+    np.testing.assert_allclose(pairs, floors, rtol=1e-13)
 
 
 def test_negative_time_rejected(typical):
@@ -121,7 +166,7 @@ def _heap_adaptive(integrand, edges, abs_tol, max_subdivisions, extra_error=0.0)
     """Reference refinement: split the single worst panel at a time from a heap."""
     centers = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * np.diff(edges)
-    vals, errs = oracle._gk_panels(integrand, centers, halfw)
+    vals, errs, _ = oracle._gk_panels(integrand, centers, halfw)
     centers_l, halfw_l, vals_l, errs_l = list(centers), list(halfw), list(vals), list(errs)
     heap = [(-e, i) for i, e in enumerate(errs_l)]
     heapq.heapify(heap)
@@ -135,7 +180,9 @@ def _heap_adaptive(integrand, edges, abs_tol, max_subdivisions, extra_error=0.0)
             continue  # stale heap entry
         h_child = 0.5 * halfw_l[idx]
         child_c = np.array([centers_l[idx] - h_child, centers_l[idx] + h_child])
-        child_v, child_e = oracle._gk_panels(integrand, child_c, np.array([h_child, h_child]))
+        child_v, child_e, _ = oracle._gk_panels(
+            integrand, child_c, np.array([h_child, h_child])
+        )
         total_err += float(child_e.sum()) - errs_l[idx]
         splits += 1
         centers_l[idx], halfw_l[idx] = child_c[0], h_child
@@ -199,7 +246,8 @@ def test_adaptive_splits_when_running_sum_rounds_below_total(monkeypatch):
 
     def panels(integrand, centers, halfw):
         first = centers.size == errs.size
-        return np.zeros(centers.size, complex), errs if first else np.zeros(centers.size)
+        zeros = np.zeros(centers.size)
+        return zeros + 0j, errs if first else zeros, zeros
 
     monkeypatch.setattr(oracle, "_gk_panels", panels)
     _, bound, splits = oracle._adaptive(None, np.linspace(0.0, 1.0, 4), abs_tol, 10)
