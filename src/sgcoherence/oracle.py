@@ -19,7 +19,8 @@ The integrands oscillate; panels are laid out so every local oscillation
 is sampled at least ``_POINTS_PER_OSCILLATION`` times, and regions that
 provably contribute less than the tolerance (Gaussian tails, fast-phase
 tails far from the stationary point) are replaced by explicit bounds that
-are added to the reported error instead of being silently dropped. The
+are added to the reported error instead of being silently dropped; one
+integration-by-parts bound certifies a negligible overlap unsampled. The
 only setting is the absolute tolerance of ``QuadratureSpec``; the window,
 the resolution and the subdivision budget are the constants below.
 """
@@ -98,6 +99,10 @@ _WG15[1::2] = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+#: Highest integration-by-parts order of the fast-phase overlap bound.
+_IBP_MAX_ORDER = 8
 
 #: Hard ceiling on the initial panel count of a single integral.
 _MAX_INITIAL_PANELS = 2**21
@@ -138,9 +143,9 @@ class QuadratureSpec:
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Tolerance not reached; carries the best estimate and its error bound."""
+    """Tolerance not reached; carries the best estimate (0 before any panel) and its bound."""
 
-    def __init__(self, message: str, estimate: complex, error_bound: float):
+    def __init__(self, message: str, estimate: complex = 0j, error_bound: float = math.inf):
         super().__init__(
             f"{message} (best estimate {estimate!r}, error bound {error_bound:.3e})"
         )
@@ -220,10 +225,7 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
     """
     if edges.size > _MAX_INITIAL_PANELS + 1:
         raise QuadratureConvergenceError(
-            f"{what}: initial panel count {edges.size - 1} exceeds the resolution budget",
-            estimate=complex(0.0),
-            error_bound=float("inf"),
-        )
+            f"{what}: initial panel count {edges.size - 1} exceeds the resolution budget")
     centers = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * np.diff(edges)
     vals, errs, floors = _gk_panels(integrand, centers, halfw)
@@ -278,10 +280,7 @@ def _uniform_edges(lo: float, hi: float, wavenumber: float,
     n = max(4, int(math.ceil(span / width)))
     if n > _MAX_INITIAL_PANELS:
         raise QuadratureConvergenceError(
-            f"oscillation-resolving layout needs {n} panels, over the budget",
-            estimate=complex(0.0),
-            error_bound=float("inf"),
-        )
+            f"oscillation-resolving layout needs {n} panels, over the budget")
     return np.linspace(lo, hi, n + 1)
 
 
@@ -303,10 +302,7 @@ def _chirp_edges(lo: float, hi: float, a: float,
         j_max = int(math.ceil(a * extent * extent / dphi))
         if j_max > _MAX_INITIAL_PANELS:
             raise QuadratureConvergenceError(
-                f"oscillation-resolving layout needs {j_max} panels, over the budget",
-                estimate=complex(0.0),
-                error_bound=float("inf"),
-            )
+                f"oscillation-resolving layout needs {j_max} panels, over the budget")
         js = np.arange(1, j_max + 1, dtype=float)
         u = np.sqrt(js * dphi / a)
         u = u[u < extent]
@@ -318,20 +314,40 @@ def _chirp_edges(lo: float, hi: float, a: float,
     return edges[(edges >= lo) & (edges <= hi)]
 
 
+def _ibp_bounds(sep2: float, k_sigma: float) -> list[float]:
+    """``M sqrt(n!)/(k_c sigma)^n`` for n = 0 .. _IBP_MAX_ORDER, M = exp(-sep2/2).
+
+    Rounded up (M by its exponent's condition number, each factor after by
+    a few ulps) and never below the smallest normal double.
+    """
+    x = min(0.5 * sep2, 700.0)
+    term = math.exp(-x) * (1.0 + 8.0 * _EPS * (1.0 + x))
+    bounds = [max(term, _TINY)]
+    factor = (1.0 + 8.0 * _EPS) / k_sigma if k_sigma > 0.0 else math.inf
+    for n in range(1, _IBP_MAX_ORDER + 1):
+        term *= math.sqrt(n) * factor
+        bounds.append(max(term, _TINY))
+    return bounds
+
+
 def overlap_quadrature(params: ExperimentParams, t: float,
                        spec: QuadratureSpec | None = None,
                        full_output: bool = False):
     """Numerical branch overlap integral of phi_+ against conj(phi_-).
 
-    Integrates the product of the closed-form branch amplitudes over
-    ``[-(dzbar + W sigma(t)), +(dzbar + W sigma(t))]`` with
-    ``W = _WINDOW_SIGMAS``. The product's phase oscillates at the cross
-    wavenumber ``k_c = (dp/hbar)(1 + (sigma0/sigma(t))^2)``; panels resolve
-    it with at least ``_POINTS_PER_OSCILLATION`` samples.
+    The product is exactly ``E(z) exp(i k_c z)`` up to a constant phase, with
+    ``E = peak exp(-z^2/(2 sigma^2))`` of mass M, sigma = sigma(t) and the cross
+    wavenumber ``k_c = (dp/hbar)(1 + (sigma0/sigma)^2)``. So, sampling nothing:
 
-    Gaussian-tail stretches and, for extreme phase rates, the provably
-    cancelling oscillatory remainder are replaced by explicit bounds that
-    enter the reported error.
+    - n integrations by parts leave no boundary terms: |I| <= k_c^-n int |E^(n)|;
+    - E^(n) = peak sigma^-n He_n(z/sigma) exp(-z^2/(2 sigma^2));
+    - Cauchy-Schwarz, int He_n^2 e^(-x^2/2) = sqrt(2 pi) n!: int |E^(n)| <= M sqrt(n!)/sigma^n.
+
+    Where B = min M sqrt(n!)/(k_c sigma)^n over n <= ``_IBP_MAX_ORDER`` is at
+    most abs_tol/8 the result is 0 with bound B. Else panels over the window
+    ``|z| <= dzbar + W sigma``, ``W = _WINDOW_SIGMAS``, resolve k_c with at least
+    ``_POINTS_PER_OSCILLATION`` samples; Gaussian tails past a live window
+    join the bound.
 
     Returns the complex overlap (with ``full_output=True``, the tuple
     ``(value, error_bound)``).
@@ -343,31 +359,16 @@ def overlap_quadrature(params: ExperimentParams, t: float,
     k_cross = (params.force * t / params.hbar) * (1.0 + (params.sigma0 / sigma_t) ** 2)
     tol_tail = spec.abs_tol / 8.0
 
-    # Envelope of the product: peak * exp(-z^2 / (2 sigma_t^2)).
     sep2 = (dzbar / sigma_t) ** 2
+    bound = min(_ibp_bounds(sep2, k_cross * sigma_t))
+    if bound <= tol_tail:
+        return (0.0 + 0.0j, bound) if full_output else 0.0 + 0.0j
     peak = math.exp(-min(0.5 * sep2, 700.0)) / (math.sqrt(2.0 * math.pi) * sigma_t)
-    envelope_mass = peak * math.sqrt(2.0 * math.pi) * sigma_t
-    if envelope_mass <= tol_tail:
-        value, bound = 0.0 + 0.0j, envelope_mass
-        return (value, bound) if full_output else value
-
-    # Fast-phase short circuit: two integrations by parts bound the whole
-    # integral once the cross phase is extreme, with no sampling at all.
-    # Where sigma_t * k_cross^2 underflows the bound is infinite: skip it.
-    window = dzbar + _WINDOW_SIGMAS * sigma_t
-    if sigma_t * k_cross**2 > 0.0:
-        edge = peak * math.exp(-0.5 * min(window / sigma_t, 37.0) ** 2)
-        ibp = (
-            2.0 * edge / k_cross
-            + 2.0 * (window / sigma_t) * edge / (sigma_t * k_cross**2)
-            + 2.426 * peak / (sigma_t * k_cross**2)
-        )
-        if ibp <= tol_tail:
-            return (0.0 + 0.0j, ibp) if full_output else 0.0 + 0.0j
 
     # Live window: where the Gaussian envelope still matters. A cut at or
     # past the window leaves only the mass beyond it, which _WINDOW_SIGMAS
     # puts under the rounding floor.
+    window = dzbar + _WINDOW_SIGMAS * sigma_t
     z_live = window
     tail_bound = 0.0
     for s in np.arange(1.0, _WINDOW_SIGMAS + dzbar / sigma_t, 0.25):
@@ -381,10 +382,8 @@ def overlap_quadrature(params: ExperimentParams, t: float,
     amp = (2.0 * math.pi * sigma_t**2) ** -0.25
     amp2, inv4s2 = amp * amp, 1.0 / (4.0 * sigma_t**2)
     integrand = lambda z: kernels.overlap_integrand(z, amp2, inv4s2, dzbar, k_cross)
-    value, err, _ = _adaptive(
-        integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
-        extra_error=tail_bound, what="overlap quadrature",
-    )
+    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
+                              extra_error=tail_bound, what="overlap quadrature")
     return (value, err) if full_output else value
 
 
@@ -501,6 +500,10 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
         -0.25 * _WINDOW_SIGMAS**2
     )
     tol_tails = spec.abs_tol / 4.0
+    if z_grid.size and beyond_window >= spec.abs_tol:
+        raise QuadratureConvergenceError(
+            f"kernel convolution: tolerance {spec.abs_tol:.3e} is under the bound "
+            f"{beyond_window:.3e} on the initial packet beyond the window")
 
     samples: list[KernelSample] = []
     bounds = np.empty(z_grid.size)

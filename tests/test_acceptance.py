@@ -36,8 +36,9 @@ def test_criterion_1_overlap_oracle_equivalence(typical):
     worst_rel = 0.0
     for params in param_sets:
         for t in times:
-            value = sg.overlap_quadrature(params, float(t))
+            value, bound = sg.overlap_quadrature(params, float(t), full_output=True)
             closed = float(sg.coherence(params, float(t)))
+            assert abs(value - closed) <= bound <= 1e-9
             diff = abs(abs(value) - closed)
             worst_abs = max(worst_abs, diff)
             if closed >= 1e-3:

@@ -7,6 +7,7 @@ itself ([0, 5] tau) and far past it (10^[0, 5] tau).
 """
 
 import math
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from sgcoherence import (
     coherence,
     decoherence_time,
     decoherence_time_bisection,
+    kinematics,
+    oracle,
     overlap_quadrature,
     typical_params,
 )
@@ -53,6 +56,33 @@ def test_overlap_error_within_reported_bound(params, u, abs_tol):
         assert exc.error_bound > abs_tol
         return
     assert abs(value - float(coherence(params, t))) <= bound <= abs_tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=beams(), u=_TIMES_IN_TAU)
+def test_every_integration_by_parts_order_bounds_the_closed_form(params, u):
+    # The oracle's short circuit never reads the closed form; the test does.
+    t = u * decoherence_time(params)
+    k = kinematics(params, t)
+    k_cross = params.force * t / params.hbar * (1.0 + (params.sigma0 / k.sigma_t) ** 2)
+    bounds = oracle._ibp_bounds((k.delta_z_bar / k.sigma_t) ** 2, k_cross * k.sigma_t)
+    assert len(bounds) == oracle._IBP_MAX_ORDER + 1
+    closed = float(coherence(params, t))
+    for n, bound in enumerate(bounds):
+        assert bound >= closed, (n, bound, closed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=beams(), u=_TIMES_IN_TAU, abs_tol=st.sampled_from([1e-9, 1e-12]))
+def test_overlap_samples_wherever_the_curve_is_not_negligible(params, u, abs_tol):
+    t = u * decoherence_time(params)
+    with mock.patch.object(oracle, "_gk_panels", wraps=oracle._gk_panels) as panels:
+        try:
+            overlap_quadrature(params, t, QuadratureSpec(abs_tol=abs_tol))
+        except QuadratureConvergenceError:
+            return  # gave up rather than certify
+    if float(coherence(params, t)) > abs_tol / 8.0:
+        assert panels.call_count >= 1
 
 
 @settings(max_examples=100, deadline=None)

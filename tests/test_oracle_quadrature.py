@@ -16,6 +16,7 @@ from sgcoherence import (
     overlap_quadrature,
     packet_amplitude,
     packet_norm_quadrature,
+    propagate_via_kernel,
 )
 from sgcoherence import oracle
 
@@ -107,6 +108,36 @@ def test_norm_tolerance_under_rounding_floor_fails_after_initial_layout(typical,
     assert exc_info.value.error_bound > 1e-15
     assert abs(exc_info.value.estimate - 1.0) < 1e-12
     assert "rounding floor" in str(exc_info.value)
+
+
+def test_kernel_tolerance_under_window_bound_fails_before_layout(typical, monkeypatch):
+    # The initial packet beyond the window is bounded by ~5.7e-11 here, so
+    # abs_tol 1e-15 is out of reach before any chirp panel is laid out.
+    calls = _count_gk_panel_calls(monkeypatch)
+    k = kinematics(typical, 2e-9)
+    z = np.linspace(k.delta_z_bar - k.sigma_t, k.delta_z_bar + k.sigma_t, 3)
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        propagate_via_kernel(typical, +1, z, 2e-9, QuadratureSpec(abs_tol=1e-15))
+    assert calls == []
+    assert exc_info.value.estimate == 0.0
+    assert exc_info.value.error_bound == math.inf
+    assert "beyond the window" in str(exc_info.value)
+
+
+def test_validate_overlap_sweep_samples_few_nodes(typical, monkeypatch):
+    # validate's sweep: 50 times over [1e-12, 1e-4] s at abs_tol 1e-9. Past
+    # the decay the integration-by-parts bound certifies a time unsampled.
+    nodes = []
+    original = kernels.overlap_integrand
+
+    def counting(z, *args):
+        nodes.append(z.size)
+        return original(z, *args)
+
+    monkeypatch.setattr(kernels, "overlap_integrand", counting)
+    for t in np.geomspace(1e-12, 1e-4, 50):
+        overlap_quadrature(typical, float(t), QuadratureSpec(abs_tol=1e-9))
+    assert 0 < sum(nodes) < 200_000
 
 
 def test_bisection_keeps_the_rounding_floor():
