@@ -187,7 +187,7 @@ def packet_amplitude(params: ExperimentParams, branch: int, z, t: float):
     sigma_t = k.sigma_t
     ft_hbar = params.force * t / params.hbar
     spread = params.hbar / (2.0 * params.mass * sigma0) * t
-    curvature = params.mass / (2.0 * params.hbar * t) * (spread / sigma_t) ** 2
+    curvature = spread / (4.0 * sigma0 * sigma_t * sigma_t)  # (m/2 hbar t)(spread/sigma_t)^2
     centre_phase = ft_hbar * (params.force * t * t) / (3.0 * params.mass)
 
     d = z - s * k.delta_z_bar

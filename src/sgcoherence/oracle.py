@@ -15,11 +15,12 @@ to validate:
     Bracketing/bisection root solve of C(t) = 1/e, checking the closed-form
     decay time.
 
-The integrands oscillate; panels are laid out so every local oscillation
-is sampled at least ``_POINTS_PER_OSCILLATION`` times, and regions that
-provably contribute less than the tolerance (Gaussian tails, fast-phase
-tails far from the stationary point) are replaced by explicit bounds that
-are added to the reported error instead of being silently dropped; one
+The integrands oscillate. Every oracle lays out one kind of initial
+panels, uniform ones that sample the fastest local oscillation in their
+window at least ``_POINTS_PER_OSCILLATION`` times. Regions that provably
+contribute less than the tolerance (Gaussian tails, fast-phase tails far
+from the stationary point) are replaced by explicit bounds that are added
+to the reported error instead of being silently dropped; one
 integration-by-parts bound certifies a negligible overlap unsampled. The
 only setting is the absolute tolerance of ``QuadratureSpec``; the window,
 the resolution and the subdivision budget are the constants below.
@@ -201,7 +202,7 @@ def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
     return vals, errs, floors
 
 
-def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: int,
+def _adaptive(integrand, edges: np.ndarray, abs_tol: float,
               extra_error: float = 0.0, what: str = "integral"):
     """Adaptive Gauss-Kronrod integration over a fixed panel skeleton.
 
@@ -213,9 +214,9 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
     leave at most ``abs_tol - extra_error`` on the rest: the panels that
     splitting one at a time, worst first, would reach if the children had
     no error. Every panel is still a qk15 panel with QUADPACK's error
-    heuristic, and ``max_subdivisions`` (the oracles pass
-    ``_MAX_SUBDIVISIONS``) caps the total number of splits: a pass splits
-    at most what is left of it. Returns ``(value, error_bound, splits)``.
+    heuristic, and ``_MAX_SUBDIVISIONS`` caps the total number of splits:
+    a pass splits at most what is left of it. Returns
+    ``(value, error_bound, splits)``.
 
     The tolerance is given up on at once, right after the initial layout,
     when ``extra_error`` plus the panels' rounding floor (see
@@ -223,9 +224,6 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
     either. Both that and a spent budget raise
     ``QuadratureConvergenceError`` carrying the best estimate and its bound.
     """
-    if edges.size > _MAX_INITIAL_PANELS + 1:
-        raise QuadratureConvergenceError(
-            f"{what}: initial panel count {edges.size - 1} exceeds the resolution budget")
     centers = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * np.diff(edges)
     vals, errs, floors = _gk_panels(integrand, centers, halfw)
@@ -248,7 +246,7 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
         order = np.argsort(errs)
         n_keep = int(np.searchsorted(np.cumsum(errs[order]), panel_target, side="right"))
         # At least one: the running sum and errs.sum() may round apart.
-        n_split = min(max(errs.size - n_keep, 1), max_subdivisions - splits)
+        n_split = min(max(errs.size - n_keep, 1), _MAX_SUBDIVISIONS - splits)
         if n_split <= 0:
             raise QuadratureConvergenceError(
                 f"{what}: tolerance {abs_tol:.3e} not reached after {splits} subdivisions",
@@ -270,48 +268,28 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float, max_subdivisions: in
     return complex(vals.sum()), total_err, splits
 
 
+def _panel_count(span, wavenumber, envelope_scale):
+    """Panels of ``_uniform_edges`` over ``span``, for scalars or arrays."""
+    # A wavenumber under 1/envelope_scale never sets the width: raising it
+    # there changes no count and keeps the division finite.
+    k = np.maximum(wavenumber, 1.0 / envelope_scale)
+    width = np.minimum(0.5 * envelope_scale,
+                       15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * k))
+    return np.maximum(4.0, np.ceil(span / width))
+
+
 def _uniform_edges(lo: float, hi: float, wavenumber: float,
                    envelope_scale: float) -> np.ndarray:
-    """Uniform panels resolving a constant-wavenumber phase and the envelope."""
-    span = hi - lo
-    width = 0.5 * envelope_scale
-    if wavenumber > 0.0:
-        width = min(width, 15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * wavenumber))
-    n = max(4, int(math.ceil(span / width)))
+    """Uniform panels resolving the envelope and local wavenumbers up to ``wavenumber``.
+
+    A panel is at most half the envelope scale wide and spans at most
+    15/_POINTS_PER_OSCILLATION of the shortest period; there are at least 4.
+    """
+    n = _panel_count(hi - lo, wavenumber, envelope_scale)
     if n > _MAX_INITIAL_PANELS:
         raise QuadratureConvergenceError(
-            f"oscillation-resolving layout needs {n} panels, over the budget")
-    return np.linspace(lo, hi, n + 1)
-
-
-def _chirp_edges(lo: float, hi: float, a: float,
-                 envelope_scale: float) -> np.ndarray:
-    """Panels for the phase a*u^2 on [lo, hi], equally spaced in phase.
-
-    Panel phase increments of 15*pi/_POINTS_PER_OSCILLATION keep at least
-    that many samples per local oscillation even at the fast edge of each
-    panel; a uniform grid at half the envelope scale is merged in so slowly
-    oscillating stretches still resolve the Gaussian.
-    """
-    dphi = 15.0 * math.pi / _POINTS_PER_OSCILLATION
-    pieces = [np.array([lo, hi])]
-    # Right side 0..hi and mirrored left side 0..-lo, in |u| coordinates.
-    for sign, extent in ((1.0, hi), (-1.0, -lo)):
-        if extent <= 0.0:
-            continue
-        j_max = int(math.ceil(a * extent * extent / dphi))
-        if j_max > _MAX_INITIAL_PANELS:
-            raise QuadratureConvergenceError(
-                f"oscillation-resolving layout needs {j_max} panels, over the budget")
-        js = np.arange(1, j_max + 1, dtype=float)
-        u = np.sqrt(js * dphi / a)
-        u = u[u < extent]
-        pieces.append(sign * u)
-    n_env = max(2, int(math.ceil((hi - lo) / (0.5 * envelope_scale))))
-    n_env = min(n_env, 4096)
-    pieces.append(np.linspace(lo, hi, n_env + 1))
-    edges = np.unique(np.concatenate(pieces))
-    return edges[(edges >= lo) & (edges <= hi)]
+            f"oscillation-resolving layout needs {n:.0f} panels, over the budget")
+    return np.linspace(lo, hi, int(n) + 1)
 
 
 def _ibp_bounds(sep2: float, k_sigma: float) -> list[float]:
@@ -382,14 +360,13 @@ def overlap_quadrature(params: ExperimentParams, t: float,
     amp = (2.0 * math.pi * sigma_t**2) ** -0.25
     amp2, inv4s2 = amp * amp, 1.0 / (4.0 * sigma_t**2)
     integrand = lambda z: kernels.overlap_integrand(z, amp2, inv4s2, dzbar, k_cross)
-    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
+    value, err, _ = _adaptive(integrand, edges, spec.abs_tol,
                               extra_error=tail_bound, what="overlap quadrature")
     return (value, err) if full_output else value
 
 
-def _kernel_tail_correction(c: float, env_c: float, denv_out: float,
-                            d2env_c: float, a: float):
-    """Boundary terms of the integration-by-parts series past a cut at |u| = c.
+def _kernel_tail_correction(c, env_c, denv_out, d2env_c, a: float):
+    """Boundary terms of the integration-by-parts series past cuts at |u| = c.
 
     For one side tail  T = int_c^inf g(u) exp(i a u^2) du  with outward
     envelope g (g(c) = env_c, outward slope denv_out, curvature d2env_c),
@@ -400,9 +377,9 @@ def _kernel_tail_correction(c: float, env_c: float, denv_out: float,
         L1 = (g'/c - g/c^2) / (2 i a)
         L2 = -(g''/c^2 - 3 g'/c^3 + 3 g/c^4) / (4 a^2)
 
-    Returns the bracketed correction (to add to the integral) for this side.
+    Returns the bracketed correction (to add to the integral) of each cut.
     """
-    phase = cmath.exp(1j * a * c * c) / (2j * a * c)
+    phase = np.exp(1j * (a * c * c)) / (2j * a * c)
     c2 = c * c
     l1 = (denv_out / c - env_c / c2) / (2j * a)
     l2 = -(d2env_c / c2 - 3.0 * denv_out / (c2 * c) + 3.0 * env_c / (c2 * c2)) / (
@@ -411,9 +388,8 @@ def _kernel_tail_correction(c: float, env_c: float, denv_out: float,
     return phase * (-env_c + l1 - l2)
 
 
-def _kernel_tail_remainder(c: float, zstar: float, outward: float, u_end: float,
-                           a: float, sigma0: float) -> float:
-    """Bound on the dropped remainder of the tail series for one side.
+def _kernel_tail_remainder(c, zstar, outward, u_end, a: float, sigma0: float):
+    """Bound on the dropped remainder of the tail series past each cut.
 
     The remainder after three integrations by parts is  int |L3| du  over
     |u| in [c, u_end] with
@@ -424,36 +400,71 @@ def _kernel_tail_remainder(c: float, zstar: float, outward: float, u_end: float,
     Bounded by an upper Riemann sum on a geometric grid: per cell the
     envelope and its derivative factors take their maximum and 1/u its
     value at the near end. A factor-two margin is applied.
+
+    The first four arguments broadcast, the cells lie on a last axis; a
+    tail with ``u_end <= c`` is empty and left unevaluated at 0.
     """
-    if u_end <= c:
-        return 0.0
+    c, zstar, outward, u_end = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (c, zstar, outward, u_end)))
+    out = np.zeros(c.shape)
+    live = u_end > c
     inv = 1.0 / (4.0 * sigma0 * sigma0)
-    edges = np.geomspace(c, u_end, 33)
-    x = zstar + outward * edges
-    x0, x1 = x[:-1], x[1:]
+    edges = np.geomspace(c[live], u_end[live], 33, axis=-1)
+    x = zstar[live, None] + outward[live, None] * edges
+    x0, x1 = x[:, :-1], x[:, 1:]
     x_near = np.clip(0.0, np.minimum(x0, x1), np.maximum(x0, x1))
     env_max = np.exp(-np.minimum(x_near * x_near * inv, 1400.0))
     x_hat = np.maximum(np.abs(x0), np.abs(x1))
     d1 = 2.0 * x_hat * inv                                  # |g'|/g
     d2 = 4.0 * x_hat * x_hat * inv * inv + 2.0 * inv        # |g''|/g
     d3 = 8.0 * x_hat**3 * inv**3 + 12.0 * x_hat * inv * inv  # |g'''|/g
-    u0 = edges[:-1]
+    u0 = edges[:, :-1]
     u2 = u0 * u0
     u3 = u2 * u0
     term = d3 / u3 + 6.0 * d2 / (u3 * u0) + 15.0 * d1 / (u3 * u2) + 15.0 / (u3 * u3)
-    return 2.0 * float(np.sum(env_max * term * np.diff(edges))) / (8.0 * a * a * a)
+    # Summed in order: np.sum's order, and so its rounding, varies with shape.
+    cells = env_max * term * np.diff(edges, axis=-1)
+    out[live] = 2.0 * np.cumsum(cells, axis=-1)[:, -1] / (8.0 * a * a * a)
+    return out[()]
 
 
-def _interior_cuts(lo: float, hi: float, lo_full: float, hi_full: float):
-    """The live window's cuts that fall inside the full window, one per side.
+def _live_windows(zstar, a: float, sigma0: float, mod: float, tol: float):
+    """Live windows ``[lo, hi]`` in u about the stationary points ``zstar``.
 
-    Yields ``(sign, cut, end)``: the outward direction in u, and the
-    distances |u| from the stationary point to the cut and to the window
-    edge on that side.
+    The full window ``|zstar + u| <= W sigma0`` is clipped to ``|u| <= r``
+    for the first r of ``8 sqrt(pi/a) 1.35^j`` with tail remainder ``rem``
+    at most ``tol``. The search stops before a radius whose layout exceeds
+    _KERNEL_PANEL_BUDGET panels, keeping the last window, and when r passes
+    the window with none taken the full one stands. One array pass per
+    radius; ``inside`` flags the (right, left) cuts that leave a tail.
     """
-    for sign, cut, end in ((1.0, hi, hi_full), (-1.0, -lo, -lo_full)):
-        if 0.0 < cut < end:
-            yield sign, cut, end
+    w_edge = _WINDOW_SIGMAS * sigma0
+    lo_full, hi_full = -w_edge - zstar, w_edge - zstar
+    ends = np.stack([hi_full, -lo_full], axis=-1)
+    limit = (hi_full - lo_full) + np.abs(zstar) + w_edge
+    lo, hi, rem = lo_full.copy(), hi_full.copy(), np.zeros(zstar.size)
+    inside, found = np.zeros(ends.shape, dtype=bool), np.zeros(zstar.size, dtype=bool)
+    active = np.arange(zstar.size)
+    radius = 8.0 * math.sqrt(math.pi / a)
+    while active.size:
+        lo_r = np.maximum(lo_full[active], -radius)
+        hi_r = np.minimum(hi_full[active], radius)
+        valid = lo_r < hi_r
+        cuts, end = np.stack([hi_r, -lo_r], axis=-1), ends[active]
+        inside_r = (0.0 < cuts) & (cuts < end) & valid[:, None]
+        tails = mod * _kernel_tail_remainder(np.where(inside_r, cuts, end), zstar[active, None],
+                                             [1.0, -1.0], end, a, sigma0)
+        rem_r = tails[:, 0] + tails[:, 1]
+        n_panels = _panel_count(hi_r - lo_r, 2.0 * a * np.maximum(-lo_r, hi_r), sigma0)
+        stop = valid & (n_panels > _KERNEL_PANEL_BUDGET) & found[active]
+        take = valid & ~stop
+        taken = active[take]
+        lo[taken], hi[taken], rem[taken] = lo_r[take], hi_r[take], rem_r[take]
+        inside[taken], found[taken] = inside_r[take], True
+        stop |= take & (rem_r <= tol)
+        radius *= 1.35
+        active = active[~stop & (radius <= limit[active])]
+    return lo, hi, rem, inside
 
 
 def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
@@ -465,11 +476,11 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     initial-packet window ``|z'| <= W sigma0`` with ``W = _WINDOW_SIGMAS``.
     In the offset ``u`` from the phase's stationary point the integrand is
     exactly
-    ``const * exp(-(z* + u)^2/(4 sigma0^2)) * exp(i a u^2)``; panels near
-    the stationary point are integrated by oscillation-resolving
-    quadrature while the fast outer stretches are summed analytically by
-    an integration-by-parts series whose remainder bound joins the
-    reported error.
+    ``const * exp(-(z* + u)^2/(4 sigma0^2)) * exp(i a u^2)``. A live window
+    about the stationary point (``_live_windows``, one search for the grid)
+    is integrated on uniform panels resolving ``2 a max|u|``; the fast outer
+    stretches are summed analytically by an integration-by-parts series
+    whose remainder bound joins the reported error.
 
     The result equals the closed-form evolved packet up to one global
     (z-independent) phase per time; that is what the validation checks
@@ -482,6 +493,8 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("kernel propagation requires t > 0")
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    if not np.all(np.isfinite(z_grid)):
+        raise ValueError("kernel propagation requires finite z")
 
     sigma0 = params.sigma0
     inv4s02 = 1.0 / (4.0 * sigma0 * sigma0)
@@ -494,71 +507,44 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     mod = math.sqrt(m / (2.0 * math.pi * hbar * t)) * (2.0 * math.pi * sigma0**2) ** -0.25
     cubic = (f * t / hbar) * (f * t * t) / (24.0 * m)
 
-    w_edge = _WINDOW_SIGMAS * sigma0
     # Initial packet mass beyond the window, plain absolute bound.
     beyond_window = mod * (4.0 * sigma0 / _WINDOW_SIGMAS) * math.exp(
         -0.25 * _WINDOW_SIGMAS**2
     )
-    tol_tails = spec.abs_tol / 4.0
     if z_grid.size and beyond_window >= spec.abs_tol:
         raise QuadratureConvergenceError(
             f"kernel convolution: tolerance {spec.abs_tol:.3e} is under the bound "
             f"{beyond_window:.3e} on the initial packet beyond the window")
 
+    zstar = z_grid - s * delta_z
+    # Kernel phase a(z-z')^2 + b(z+z') about its stationary point z' = zstar:
+    # a u^2 plus a dz^2 + s b dz + 2 b zstar, as z - zstar = s dz. Only the
+    # last term varies with z; the others (up to ~1e10 rad) round globally.
+    const = mod * cmath.exp(
+        1j * (a * delta_z * delta_z + s * b_lin * delta_z - cubic - 0.25 * math.pi)
+    ) * np.exp(1j * (2.0 * b_lin * zstar))
+    lo, hi, rem, inside = _live_windows(zstar, a, sigma0, mod, spec.abs_tol / 4.0)
+
+    # Boundary corrections at the interior cuts; the others are dropped.
+    sign = np.array([1.0, -1.0])
+    cut = np.where(inside, np.stack([hi, -lo], axis=-1), _WINDOW_SIGMAS * sigma0)
+    x_c = zstar[:, None] + sign * cut
+    env_c = np.exp(-x_c * x_c * inv4s02)
+    denv = -2.0 * sign * x_c * inv4s02 * env_c  # outward derivative
+    d2env = (4.0 * x_c * x_c * inv4s02 * inv4s02 - 2.0 * inv4s02) * env_c
+    terms = _kernel_tail_correction(cut, env_c, denv, d2env, a)
+    corr = const * np.where(inside, terms, 0.0).sum(axis=-1)
+
     samples: list[KernelSample] = []
     bounds = np.empty(z_grid.size)
     for i, z in enumerate(z_grid):
-        zstar = z - s * delta_z
-        # Kernel phase a(z-z')^2 + b(z+z') rewritten about its stationary
-        # point z' = zstar: the z'-dependence reduces to a u^2, the rest is
-        # this constant.
-        phi0 = a * (z - zstar) ** 2 + b_lin * (zstar + z)
-        const = mod * cmath.exp(1j * (phi0 - cubic - 0.25 * math.pi))
-
-        lo_full, hi_full = -w_edge - zstar, w_edge - zstar
-
-        # Grow the live radius until the tail-series remainder is small
-        # enough or the panel budget is exhausted.
-        dphi = 15.0 * math.pi / _POINTS_PER_OSCILLATION
-        radius = 8.0 * math.sqrt(math.pi / a)
-        best = None
-        for _ in range(200):
-            lo = max(lo_full, -radius)
-            hi = min(hi_full, radius)
-            if lo < hi:
-                rem = 0.0
-                for sign, cut, end in _interior_cuts(lo, hi, lo_full, hi_full):
-                    rem += mod * _kernel_tail_remainder(cut, zstar, sign, end, a, sigma0)
-                n_panels = a * (hi * hi + lo * lo) / dphi + (hi - lo) / (0.5 * sigma0)
-                if n_panels > _KERNEL_PANEL_BUDGET and best is not None:
-                    break
-                best = (lo, hi, rem)
-                if rem <= tol_tails:
-                    break
-            radius *= 1.35
-            if radius > (hi_full - lo_full) + abs(zstar) + w_edge:
-                if best is None:
-                    best = (lo_full, hi_full, 0.0)
-                break
-        lo, hi, rem = best
-
-        # Explicit boundary corrections at interior cuts.
-        corr = 0.0 + 0.0j
-        for sign, cut, _ in _interior_cuts(lo, hi, lo_full, hi_full):
-            x_c = zstar + sign * cut
-            env_c = math.exp(-x_c * x_c * inv4s02)
-            denv = -2.0 * sign * x_c * inv4s02 * env_c  # outward derivative
-            d2env = (4.0 * x_c * x_c * inv4s02 * inv4s02 - 2.0 * inv4s02) * env_c
-            corr += const * _kernel_tail_correction(cut, env_c, denv, d2env, a)
-
-        extra = rem + beyond_window
-        edges = _chirp_edges(lo, hi, a, sigma0)
-        integrand = lambda u: kernels.kernel_integrand(u, zstar, inv4s02, a, const)
+        edges = _uniform_edges(lo[i], hi[i], 2.0 * a * max(-lo[i], hi[i]), sigma0)
+        integrand = lambda u: kernels.kernel_integrand(u, zstar[i], inv4s02, a, const[i])
         value, err, _ = _adaptive(
-            integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
-            extra_error=extra, what=f"kernel convolution at z={z:.6g}",
+            integrand, edges, spec.abs_tol, extra_error=rem[i] + beyond_window,
+            what=f"kernel convolution at z={z:.6g}",
         )
-        samples.append(KernelSample(z=float(z), value=value + corr))
+        samples.append(KernelSample(z=float(z), value=complex(value + corr[i])))
         bounds[i] = err
 
     return (samples, bounds) if full_output else samples
@@ -619,7 +605,15 @@ def packet_norm_quadrature(params: ExperimentParams, branch: int, t: float,
     halfwidth = _WINDOW_SIGMAS * k.sigma_t
     edges = _uniform_edges(center - halfwidth, center + halfwidth, 0.0, k.sigma_t)
     integrand = lambda z: np.abs(packet_amplitude(params, s, z, t)) ** 2 + 0.0j
-    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
+    # Rounding moves a node's offset z - s dzbar up to 7.5 eps Z from its
+    # place, Z = |center| + halfwidth: linspace's endpoints, difference,
+    # step, product and sum 5, the node's centre, half-width, product and
+    # sum 2, the subtraction 0.5 (dzbar's own roundings move the packet and
+    # its window alike). Times the rule's sum of |rho'|, ~ int |rho'| = 2
+    # peak = 0.8/sigma, taken as 1/sigma for the rule's own error: 7.5 eps
+    # Z/sigma, rounded up to 8.
+    extra = 8.0 * _EPS * (abs(center) + halfwidth) / k.sigma_t
+    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, extra_error=extra,
                               what="packet norm")
     return float(value.real), err
 
@@ -640,6 +634,9 @@ def total_density_norm_quadrature(params: ExperimentParams, t: float,
         d_minus = np.abs(packet_amplitude(params, -1, z, t)) ** 2
         return w_plus * d_plus + w_minus * d_minus + 0.0j
 
-    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, _MAX_SUBDIVISIONS,
+    # Node rounding as in packet_norm_quadrature; the mixture's int |rho'| is
+    # no larger.
+    value, err, _ = _adaptive(integrand, edges, spec.abs_tol,
+                              extra_error=8.0 * _EPS * halfwidth / k.sigma_t,
                               what="total density norm")
     return float(value.real), err

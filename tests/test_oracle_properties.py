@@ -1,4 +1,4 @@
-"""Property tests: the overlap oracle's certificate holds across many beams.
+"""Property tests: the overlap and norm oracles' certificates hold across many beams.
 
 Beams are drawn log-uniform around ``typical_params()``: mass and field
 gradient over three decades either side, the initial width over two. Times
@@ -22,6 +22,8 @@ from sgcoherence import (
     kinematics,
     oracle,
     overlap_quadrature,
+    packet_norm_quadrature,
+    total_density_norm_quadrature,
     typical_params,
 )
 
@@ -56,6 +58,25 @@ def test_overlap_error_within_reported_bound(params, u, abs_tol):
         assert exc.error_bound > abs_tol
         return
     assert abs(value - float(coherence(params, t))) <= bound <= abs_tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=beams(), u=_TIMES_IN_TAU, abs_tol=st.sampled_from([1e-9, 1e-12]),
+       total=st.booleans())
+def test_norm_error_within_reported_bound(params, u, abs_tol, total):
+    # Far past the decay a packet can sit up to ~1e5 widths off the origin,
+    # where the rounding of the nodes' places outweighs abs_tol 1e-12.
+    t = u * decoherence_time(params)
+    spec = QuadratureSpec(abs_tol=abs_tol)
+    try:
+        if total:
+            norm, bound = total_density_norm_quadrature(params, t, spec)
+        else:
+            norm, bound = packet_norm_quadrature(params, +1, t, spec)
+    except QuadratureConvergenceError as exc:
+        assert exc.error_bound > abs_tol
+        return
+    assert abs(norm - 1.0) <= bound <= abs_tol
 
 
 @settings(max_examples=100, deadline=None)

@@ -112,7 +112,7 @@ def test_norm_tolerance_under_rounding_floor_fails_after_initial_layout(typical,
 
 def test_kernel_tolerance_under_window_bound_fails_before_layout(typical, monkeypatch):
     # The initial packet beyond the window is bounded by ~5.7e-11 here, so
-    # abs_tol 1e-15 is out of reach before any chirp panel is laid out.
+    # abs_tol 1e-15 is out of reach before any panel is laid out.
     calls = _count_gk_panel_calls(monkeypatch)
     k = kinematics(typical, 2e-9)
     z = np.linspace(k.delta_z_bar - k.sigma_t, k.delta_z_bar + k.sigma_t, 3)
@@ -122,6 +122,17 @@ def test_kernel_tolerance_under_window_bound_fails_before_layout(typical, monkey
     assert exc_info.value.estimate == 0.0
     assert exc_info.value.error_bound == math.inf
     assert "beyond the window" in str(exc_info.value)
+
+
+def test_kernel_layout_over_the_budget_fails_before_any_panel(typical, monkeypatch):
+    # z = 1 mm lies ~100 widths from the packet at 1 us: the stationary point
+    # is far outside the initial window, over which the kernel phase needs
+    # ~1e8 panels, more than _MAX_INITIAL_PANELS.
+    calls = _count_gk_panel_calls(monkeypatch)
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        propagate_via_kernel(typical, +1, [1e-3], 1e-6, QuadratureSpec(1e-5))
+    assert calls == []
+    assert "over the budget" in str(exc_info.value)
 
 
 def test_validate_overlap_sweep_samples_few_nodes(typical, monkeypatch):
@@ -228,16 +239,17 @@ def _heap_adaptive(integrand, edges, abs_tol, max_subdivisions, extra_error=0.0)
 
 
 @pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
-def test_adaptive_refines_to_tolerance_and_raises_on_budget(abs_tol):
+def test_adaptive_refines_to_tolerance_and_raises_on_budget(abs_tol, monkeypatch):
     integrand = lambda z: np.exp(-0.5 * z * z + 3j * z)
     edges = np.linspace(-10.0, 10.0, 5)
     exact = math.sqrt(2.0 * math.pi) * math.exp(-4.5)
-    value, bound, splits = oracle._adaptive(integrand, edges, abs_tol, 2**20)
+    value, bound, splits = oracle._adaptive(integrand, edges, abs_tol)
     assert splits > 0
     assert abs(value - exact) <= bound <= abs_tol
 
+    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", splits - 1)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
-        oracle._adaptive(integrand, edges, abs_tol, splits - 1)
+        oracle._adaptive(integrand, edges, abs_tol)
     assert exc_info.value.error_bound > abs_tol
     assert f"after {splits - 1} subdivisions" in str(exc_info.value)
 
@@ -258,9 +270,9 @@ def test_adaptive_splits_as_many_panels_as_heap_refinement(typical, monkeypatch)
         overlap_quadrature(typical, float(t), spec)
 
     refined = 0
-    for (integrand, edges, abs_tol, max_subdivisions), kwargs, (value, _, splits) in calls:
+    for (integrand, edges, abs_tol), kwargs, (value, _, splits) in calls:
         ref_value, _, ref_splits = _heap_adaptive(
-            integrand, edges, abs_tol, max_subdivisions, kwargs["extra_error"]
+            integrand, edges, abs_tol, oracle._MAX_SUBDIVISIONS, kwargs["extra_error"]
         )
         assert splits == ref_splits
         assert abs(value - ref_value) <= 1e-15
@@ -281,6 +293,7 @@ def test_adaptive_splits_when_running_sum_rounds_below_total(monkeypatch):
         return zeros + 0j, errs if first else zeros, zeros
 
     monkeypatch.setattr(oracle, "_gk_panels", panels)
-    _, bound, splits = oracle._adaptive(None, np.linspace(0.0, 1.0, 4), abs_tol, 10)
+    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 10)
+    _, bound, splits = oracle._adaptive(None, np.linspace(0.0, 1.0, 4), abs_tol)
     assert splits == 1
     assert bound <= abs_tol

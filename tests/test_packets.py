@@ -82,7 +82,7 @@ def test_density_equals_modulus_squared_on_grid(typical):
 
 def test_amplitude_finite_for_finite_inputs(typical):
     z = np.linspace(-1e-3, 1e-3, 401)
-    for t in (0.0, 1e-12, 2e-9, 1e-4, 1.0):
+    for t in (0.0, 5e-324, 1e-12, 2e-9, 1e-4, 1.0):  # 2 hbar t underflows at 5e-324
         values = packet_amplitude(typical, +1, z, t)
         assert np.all(np.isfinite(values.real)) and np.all(np.isfinite(values.imag))
 
