@@ -269,13 +269,16 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float,
 
 
 def _panel_count(span, wavenumber, envelope_scale):
-    """Panels of ``_uniform_edges`` over ``span``, for scalars or arrays."""
+    """Panels of ``_uniform_edges`` over ``span``, for floats or arrays."""
+    # Builtins on floats: a NumPy ufunc costs a microsecond or more per scalar.
+    maximum, minimum, ceil = ((np.maximum, np.minimum, np.ceil) if isinstance(span, np.ndarray)
+                              else (max, min, math.ceil))
     # A wavenumber under 1/envelope_scale never sets the width: raising it
     # there changes no count and keeps the division finite.
-    k = np.maximum(wavenumber, 1.0 / envelope_scale)
-    width = np.minimum(0.5 * envelope_scale,
-                       15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * k))
-    return np.maximum(4.0, np.ceil(span / width))
+    k = maximum(wavenumber, 1.0 / envelope_scale)
+    width = minimum(0.5 * envelope_scale,
+                    15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * k))
+    return maximum(4.0, ceil(span / width))
 
 
 def _uniform_edges(lo: float, hi: float, wavenumber: float,
@@ -399,10 +402,8 @@ def _kernel_tail_remainder(c, zstar, outward, u_end, a: float, sigma0: float):
     and the unit-peak envelope g(u) = exp(-(zstar + outward*u)^2/(4 s^2)).
     Bounded by an upper Riemann sum on a geometric grid: per cell the
     envelope and its derivative factors take their maximum and 1/u its
-    value at the near end. A factor-two margin is applied.
-
-    The first four arguments broadcast, the cells lie on a last axis; a
-    tail with ``u_end <= c`` is empty and left unevaluated at 0.
+    value at the near end. A factor-two margin is applied. The first four
+    arguments broadcast, the cells on a last axis; an empty tail (u_end <= c) is 0.
     """
     c, zstar, outward, u_end = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (c, zstar, outward, u_end)))
@@ -433,11 +434,13 @@ def _live_windows(zstar, a: float, sigma0: float, mod: float, tol: float):
 
     The full window ``|zstar + u| <= W sigma0`` is clipped to ``|u| <= r``
     for the first r of ``8 sqrt(pi/a) 1.35^j`` with tail remainder ``rem``
-    at most ``tol``. The search stops before a radius whose layout exceeds
-    _KERNEL_PANEL_BUDGET panels, keeping the last window, and when r passes
-    the window with none taken the full one stands. One array pass per
-    radius; ``inside`` flags the (right, left) cuts that leave a tail.
+    at most ``tol``. The search stops before a radius whose layout, for the
+    fastest wavenumber ``k_max = 2 a max|u|``, exceeds _KERNEL_PANEL_BUDGET
+    panels, keeping the last window; when r passes the window with none
+    taken the full one stands. One array pass per radius; ``inside`` flags
+    the (right, left) cuts that leave a tail.
     """
+    fastest = lambda lo, hi: 2.0 * a * np.maximum(-lo, hi)
     w_edge = _WINDOW_SIGMAS * sigma0
     lo_full, hi_full = -w_edge - zstar, w_edge - zstar
     ends = np.stack([hi_full, -lo_full], axis=-1)
@@ -455,7 +458,7 @@ def _live_windows(zstar, a: float, sigma0: float, mod: float, tol: float):
         tails = mod * _kernel_tail_remainder(np.where(inside_r, cuts, end), zstar[active, None],
                                              [1.0, -1.0], end, a, sigma0)
         rem_r = tails[:, 0] + tails[:, 1]
-        n_panels = _panel_count(hi_r - lo_r, 2.0 * a * np.maximum(-lo_r, hi_r), sigma0)
+        n_panels = _panel_count(hi_r - lo_r, fastest(lo_r, hi_r), sigma0)
         stop = valid & (n_panels > _KERNEL_PANEL_BUDGET) & found[active]
         take = valid & ~stop
         taken = active[take]
@@ -464,7 +467,7 @@ def _live_windows(zstar, a: float, sigma0: float, mod: float, tol: float):
         stop |= take & (rem_r <= tol)
         radius *= 1.35
         active = active[~stop & (radius <= limit[active])]
-    return lo, hi, rem, inside
+    return lo, hi, fastest(lo, hi), rem, inside
 
 
 def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
@@ -520,10 +523,9 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     # Kernel phase a(z-z')^2 + b(z+z') about its stationary point z' = zstar:
     # a u^2 plus a dz^2 + s b dz + 2 b zstar, as z - zstar = s dz. Only the
     # last term varies with z; the others (up to ~1e10 rad) round globally.
-    const = mod * cmath.exp(
-        1j * (a * delta_z * delta_z + s * b_lin * delta_z - cubic - 0.25 * math.pi)
-    ) * np.exp(1j * (2.0 * b_lin * zstar))
-    lo, hi, rem, inside = _live_windows(zstar, a, sigma0, mod, spec.abs_tol / 4.0)
+    const = mod * cmath.exp(1j * (a * delta_z * delta_z + s * b_lin * delta_z - cubic
+                                  - 0.25 * math.pi)) * np.exp(1j * (2.0 * b_lin * zstar))
+    lo, hi, k_max, rem, inside = _live_windows(zstar, a, sigma0, mod, spec.abs_tol / 4.0)
 
     # Boundary corrections at the interior cuts; the others are dropped.
     sign = np.array([1.0, -1.0])
@@ -538,12 +540,11 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     samples: list[KernelSample] = []
     bounds = np.empty(z_grid.size)
     for i, z in enumerate(z_grid):
-        edges = _uniform_edges(lo[i], hi[i], 2.0 * a * max(-lo[i], hi[i]), sigma0)
+        edges = _uniform_edges(lo[i], hi[i], k_max[i], sigma0)
         integrand = lambda u: kernels.kernel_integrand(u, zstar[i], inv4s02, a, const[i])
-        value, err, _ = _adaptive(
-            integrand, edges, spec.abs_tol, extra_error=rem[i] + beyond_window,
-            what=f"kernel convolution at z={z:.6g}",
-        )
+        value, err, _ = _adaptive(integrand, edges, spec.abs_tol,
+                                  extra_error=rem[i] + beyond_window,
+                                  what=f"kernel convolution at z={z:.6g}")
         samples.append(KernelSample(z=float(z), value=complex(value + corr[i])))
         bounds[i] = err
 

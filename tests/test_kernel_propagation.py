@@ -261,9 +261,23 @@ def test_live_window_search_matches_per_point_search(sigma0, a_sigma0_sq,
     mod = math.sqrt(a / math.pi) * (2.0 * math.pi * sigma0**2) ** -0.25
     zstar = np.array(zstar_over_sigma0) * sigma0
     w_edge = oracle._WINDOW_SIGMAS * sigma0
-    lo, hi, rem, inside = oracle._live_windows(zstar, a, sigma0, mod, abs_tol / 4.0)
+    lo, hi, k_max, rem, inside = oracle._live_windows(zstar, a, sigma0, mod, abs_tol / 4.0)
     for i, z in enumerate(zstar):
         ref_lo, ref_hi, ref_rem = _live_window_per_point(float(z), a, sigma0, mod, abs_tol / 4.0)
         assert (lo[i], hi[i]) == (ref_lo, ref_hi)
+        assert k_max[i] == 2.0 * a * max(abs(ref_lo), abs(ref_hi))
         assert rem[i] == pytest.approx(ref_rem, rel=1e-13, abs=0.0)
         assert tuple(inside[i]) == (0.0 < hi[i] < w_edge - z, 0.0 < -lo[i] < w_edge + z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_log_uniform(-9.0, 1.0), st.one_of(st.just(0.0), _log_uniform(-2.0, 12.0))),
+             min_size=1, max_size=6),
+    _log_uniform(-7.0, -3.0),
+)
+def test_panel_count_on_floats_matches_its_array_pass(span_k, envelope_scale):
+    span, k = (np.array(v) for v in zip(*span_k))
+    counts = oracle._panel_count(span, k, envelope_scale)
+    for i in range(span.size):
+        assert oracle._panel_count(float(span[i]), float(k[i]), envelope_scale) == counts[i]
