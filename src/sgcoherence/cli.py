@@ -286,8 +286,11 @@ def _run_validate(args: argparse.Namespace) -> int:
                 max_rel = max(max_rel, abs(closed - rooted) / rooted)
     all_ok &= _check("tau_closed_form_vs_bisection", max_rel, 1e-6, lines)
 
-    # Kernel propagation against the evolved packets, three times.
-    for t in (2e-9, 1e-6, 1e-5):
+    # Kernel propagation against the evolved packets, at three fixed times
+    # and at a tenth of and at the spreading time 2 m sigma0^2/hbar, where
+    # the packet's width and chirp have grown by order one.
+    t_s = params.spreading_time
+    for t in (2e-9, 1e-6, 1e-5, 0.1 * t_s, t_s):
         name_d = f"kernel_density_match_t={t:g}"
         name_p = f"kernel_phase_constancy_t={t:g}"
         try:

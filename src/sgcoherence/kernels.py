@@ -37,19 +37,22 @@ def overlap_integrand(
 
 
 def kernel_integrand(
-    u: np.ndarray,
+    v: np.ndarray,
     zstar: float,
     inv4s02: float,
     a: float,
+    rot: complex,
     const: complex,
 ) -> np.ndarray:
-    """Free-fall propagator times the initial packet, in stationary coordinates.
+    """Free-fall propagator times the initial packet, on the rotated path ``u = rot v``.
 
     ``u`` is the offset from the stationary point ``zstar`` of the kernel
     phase, where the full phase reduces exactly to ``a u^2`` plus a constant
-    already folded into ``const`` together with the kernel prefactor.
+    already folded into ``const``, together with the kernel prefactor and the
+    path's Jacobian ``rot``. The exponent is summed before its one
+    exponential: on the path its real part is at most 0, while
+    ``exp(-(zstar + u)^2/(4 sigma0^2))`` alone can overflow.
     """
-    u = np.asarray(u, dtype=float)
+    u = rot * np.asarray(v, dtype=float)
     x = zstar + u
-    envelope = np.exp(-(x * x) * inv4s02)
-    return const * envelope * np.exp(1j * (a * u * u))
+    return const * np.exp(1j * a * (u * u) - inv4s02 * (x * x))

@@ -18,12 +18,14 @@ to validate:
 The integrands oscillate. Every oracle lays out one kind of initial
 panels, uniform ones that sample the fastest local oscillation in their
 window at least ``_POINTS_PER_OSCILLATION`` times. Regions that provably
-contribute less than the tolerance (Gaussian tails, fast-phase tails far
-from the stationary point) are replaced by explicit bounds that are added
-to the reported error instead of being silently dropped; one
-integration-by-parts bound certifies a negligible overlap unsampled. The
-only setting is the absolute tolerance of ``QuadratureSpec``; the window,
-the resolution and the subdivision budget are the constants below.
+contribute less than the tolerance (Gaussian tails) are replaced by
+explicit bounds that are added to the reported error instead of being
+silently dropped; one integration-by-parts bound certifies a negligible
+overlap unsampled. The kernel convolution runs along a rotated contour on
+which its chirp cancels, so it integrates a Gaussian whatever the time,
+and it bounds the rounding of the integrand it evaluates. The only setting
+is the absolute tolerance of ``QuadratureSpec``; the window, the
+resolution and the subdivision budget are the constants below.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -108,16 +111,13 @@ _IBP_MAX_ORDER = 8
 #: Hard ceiling on the initial panel count of a single integral.
 _MAX_INITIAL_PANELS = 2**21
 
-#: Panel budget used when choosing the live window of a kernel convolution.
-_KERNEL_PANEL_BUDGET = 2**19
-
 #: Nodes evaluated per integrand call while batching panels.
 _CHUNK_NODES = 393216
 
-#: Half-width of every integration window, in packet widths. A density or
-#: overlap envelope exp(-z^2/(2 sigma^2)) keeps ~4e-33 of its mass beyond it,
-#: far under any layout's rounding floor; the kernel convolution integrates
-#: an amplitude and adds an explicit bound for what lies beyond.
+#: Half-width of every integration window, in envelope widths. A Gaussian
+#: envelope exp(-z^2/(2 sigma^2)) keeps ~4e-33 of its mass beyond it, far
+#: under any layout's rounding floor; the kernel convolution adds that
+#: fraction of its path mass to its bound.
 _WINDOW_SIGMAS = 12.0
 
 #: Fewest samples per local oscillation of an integrand's phase in the
@@ -268,19 +268,6 @@ def _adaptive(integrand, edges: np.ndarray, abs_tol: float,
     return complex(vals.sum()), total_err, splits
 
 
-def _panel_count(span, wavenumber, envelope_scale):
-    """Panels of ``_uniform_edges`` over ``span``, for floats or arrays."""
-    # Builtins on floats: a NumPy ufunc costs a microsecond or more per scalar.
-    maximum, minimum, ceil = ((np.maximum, np.minimum, np.ceil) if isinstance(span, np.ndarray)
-                              else (max, min, math.ceil))
-    # A wavenumber under 1/envelope_scale never sets the width: raising it
-    # there changes no count and keeps the division finite.
-    k = maximum(wavenumber, 1.0 / envelope_scale)
-    width = minimum(0.5 * envelope_scale,
-                    15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * k))
-    return maximum(4.0, ceil(span / width))
-
-
 def _uniform_edges(lo: float, hi: float, wavenumber: float,
                    envelope_scale: float) -> np.ndarray:
     """Uniform panels resolving the envelope and local wavenumbers up to ``wavenumber``.
@@ -288,11 +275,16 @@ def _uniform_edges(lo: float, hi: float, wavenumber: float,
     A panel is at most half the envelope scale wide and spans at most
     15/_POINTS_PER_OSCILLATION of the shortest period; there are at least 4.
     """
-    n = _panel_count(hi - lo, wavenumber, envelope_scale)
+    # A wavenumber under 1/envelope_scale never sets the width: raising it
+    # there changes no count and keeps the division finite. Builtins: a
+    # NumPy ufunc costs a microsecond or more per scalar.
+    k = max(wavenumber, 1.0 / envelope_scale)
+    width = min(0.5 * envelope_scale, 15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * k))
+    n = max(4, math.ceil((hi - lo) / width))
     if n > _MAX_INITIAL_PANELS:
         raise QuadratureConvergenceError(
-            f"oscillation-resolving layout needs {n:.0f} panels, over the budget")
-    return np.linspace(lo, hi, int(n) + 1)
+            f"oscillation-resolving layout needs {n} panels, over the budget")
+    return np.linspace(lo, hi, n + 1)
 
 
 def _ibp_bounds(sep2: float, k_sigma: float) -> list[float]:
@@ -368,106 +360,24 @@ def overlap_quadrature(params: ExperimentParams, t: float,
     return (value, err) if full_output else value
 
 
-def _kernel_tail_correction(c, env_c, denv_out, d2env_c, a: float):
-    """Boundary terms of the integration-by-parts series past cuts at |u| = c.
+def _exp_i(phase: Fraction) -> complex:
+    """exp(i phase) of an exact phase, as a product over the doubles it splits into.
 
-    For one side tail  T = int_c^inf g(u) exp(i a u^2) du  with outward
-    envelope g (g(c) = env_c, outward slope denv_out, curvature d2env_c),
-    three integrations by parts give
-
-        T = exp(i a c^2)/(2 i a c) * [ -g(c) + L1(c) - L2(c) ] + remainder
-
-        L1 = (g'/c - g/c^2) / (2 i a)
-        L2 = -(g''/c^2 - 3 g'/c^3 + 3 g/c^4) / (4 a^2)
-
-    Returns the bracketed correction (to add to the integral) of each cut.
+    Each double is the one nearest to what is left of the phase (an integer
+    quotient rounds correctly), and libm's cos and sin reduce it mod 2 pi
+    exactly, so every factor is good to an ulp however large the phase. The
+    split stops once the rest is at most eps rad; a finite double phase
+    takes at most 21 factors.
     """
-    phase = np.exp(1j * (a * c * c)) / (2j * a * c)
-    c2 = c * c
-    l1 = (denv_out / c - env_c / c2) / (2j * a)
-    l2 = -(d2env_c / c2 - 3.0 * denv_out / (c2 * c) + 3.0 * env_c / (c2 * c2)) / (
-        4.0 * a * a
-    )
-    return phase * (-env_c + l1 - l2)
-
-
-def _kernel_tail_remainder(c, zstar, outward, u_end, a: float, sigma0: float):
-    """Bound on the dropped remainder of the tail series past each cut.
-
-    The remainder after three integrations by parts is  int |L3| du  over
-    |u| in [c, u_end] with
-
-        |L3| <= (|g'''|/u^3 + 6|g''|/u^4 + 15|g'|/u^5 + 15 g/u^6) / (8 a^3)
-
-    and the unit-peak envelope g(u) = exp(-(zstar + outward*u)^2/(4 s^2)).
-    Bounded by an upper Riemann sum on a geometric grid: per cell the
-    envelope and its derivative factors take their maximum and 1/u its
-    value at the near end. A factor-two margin is applied. The first four
-    arguments broadcast, the cells on a last axis; an empty tail (u_end <= c) is 0.
-    """
-    c, zstar, outward, u_end = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (c, zstar, outward, u_end)))
-    out = np.zeros(c.shape)
-    live = u_end > c
-    inv = 1.0 / (4.0 * sigma0 * sigma0)
-    edges = np.geomspace(c[live], u_end[live], 33, axis=-1)
-    x = zstar[live, None] + outward[live, None] * edges
-    x0, x1 = x[:, :-1], x[:, 1:]
-    x_near = np.clip(0.0, np.minimum(x0, x1), np.maximum(x0, x1))
-    env_max = np.exp(-np.minimum(x_near * x_near * inv, 1400.0))
-    x_hat = np.maximum(np.abs(x0), np.abs(x1))
-    d1 = 2.0 * x_hat * inv                                  # |g'|/g
-    d2 = 4.0 * x_hat * x_hat * inv * inv + 2.0 * inv        # |g''|/g
-    d3 = 8.0 * x_hat**3 * inv**3 + 12.0 * x_hat * inv * inv  # |g'''|/g
-    u0 = edges[:, :-1]
-    u2 = u0 * u0
-    u3 = u2 * u0
-    term = d3 / u3 + 6.0 * d2 / (u3 * u0) + 15.0 * d1 / (u3 * u2) + 15.0 / (u3 * u3)
-    # Summed in order: np.sum's order, and so its rounding, varies with shape.
-    cells = env_max * term * np.diff(edges, axis=-1)
-    out[live] = 2.0 * np.cumsum(cells, axis=-1)[:, -1] / (8.0 * a * a * a)
-    return out[()]
-
-
-def _live_windows(zstar, a: float, sigma0: float, mod: float, tol: float):
-    """Live windows ``[lo, hi]`` in u about the stationary points ``zstar``.
-
-    The full window ``|zstar + u| <= W sigma0`` is clipped to ``|u| <= r``
-    for the first r of ``8 sqrt(pi/a) 1.35^j`` with tail remainder ``rem``
-    at most ``tol``. The search stops before a radius whose layout, for the
-    fastest wavenumber ``k_max = 2 a max|u|``, exceeds _KERNEL_PANEL_BUDGET
-    panels, keeping the last window; when r passes the window with none
-    taken the full one stands. One array pass per radius; ``inside`` flags
-    the (right, left) cuts that leave a tail.
-    """
-    fastest = lambda lo, hi: 2.0 * a * np.maximum(-lo, hi)
-    w_edge = _WINDOW_SIGMAS * sigma0
-    lo_full, hi_full = -w_edge - zstar, w_edge - zstar
-    ends = np.stack([hi_full, -lo_full], axis=-1)
-    limit = (hi_full - lo_full) + np.abs(zstar) + w_edge
-    lo, hi, rem = lo_full.copy(), hi_full.copy(), np.zeros(zstar.size)
-    inside, found = np.zeros(ends.shape, dtype=bool), np.zeros(zstar.size, dtype=bool)
-    active = np.arange(zstar.size)
-    radius = 8.0 * math.sqrt(math.pi / a)
-    while active.size:
-        lo_r = np.maximum(lo_full[active], -radius)
-        hi_r = np.minimum(hi_full[active], radius)
-        valid = lo_r < hi_r
-        cuts, end = np.stack([hi_r, -lo_r], axis=-1), ends[active]
-        inside_r = (0.0 < cuts) & (cuts < end) & valid[:, None]
-        tails = mod * _kernel_tail_remainder(np.where(inside_r, cuts, end), zstar[active, None],
-                                             [1.0, -1.0], end, a, sigma0)
-        rem_r = tails[:, 0] + tails[:, 1]
-        n_panels = _panel_count(hi_r - lo_r, fastest(lo_r, hi_r), sigma0)
-        stop = valid & (n_panels > _KERNEL_PANEL_BUDGET) & found[active]
-        take = valid & ~stop
-        taken = active[take]
-        lo[taken], hi[taken], rem[taken] = lo_r[take], hi_r[take], rem_r[take]
-        inside[taken], found[taken] = inside_r[take], True
-        stop |= take & (rem_r <= tol)
-        radius *= 1.35
-        active = active[~stop & (radius <= limit[active])]
-    return lo, hi, fastest(lo, hi), rem, inside
+    num, den = phase.numerator, phase.denominator
+    out = 1.0 + 0.0j
+    d = num / den
+    while abs(d) > _EPS:
+        out *= complex(math.cos(d), math.sin(d))
+        n, k = d.as_integer_ratio()  # d = n/k exactly
+        num, den = num * k - n * den, den * k
+        d = num / den
+    return out
 
 
 def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
@@ -475,15 +385,58 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
                          full_output: bool = False):
     """Evolve the initial packet by convolving it with the branch propagator.
 
-    For each output position the convolution integral is taken over the
-    initial-packet window ``|z'| <= W sigma0`` with ``W = _WINDOW_SIGMAS``.
-    In the offset ``u`` from the phase's stationary point the integrand is
-    exactly
-    ``const * exp(-(z* + u)^2/(4 sigma0^2)) * exp(i a u^2)``. A live window
-    about the stationary point (``_live_windows``, one search for the grid)
-    is integrated on uniform panels resolving ``2 a max|u|``; the fast outer
-    stretches are summed analytically by an integration-by-parts series
-    whose remainder bound joins the reported error.
+    With ``a = m/(2 hbar t)``, ``b = s f t/(2 hbar)``, ``dz = f t^2/(2 m)`` and
+    ``c = 1/(4 sigma0^2)``, the propagator phase ``a (z - z')^2 + b (z + z')
+    - f^2 t^3/(24 m hbar)`` is stationary at ``z' = z* = z - s dz``; about it,
+    at ``z' = z* + u``, it is exactly ``a u^2 + Phi(z)`` with
+    ``Phi = a dz^2 + s b dz - f^2 t^3/(24 m hbar) + 2 b z*``. So
+
+        psi(z) = mod exp(i (Phi - pi/4)) int exp(i a u^2 - c (z* + u)^2) du,
+
+    ``mod = sqrt(a/pi) (2 pi sigma0^2)^(-1/4)``, and the integrand is entire.
+
+    The path. ``u = e^{i theta} v`` with ``tan 2 theta = 4 a sigma0^2 = a/c``,
+    ``0 < theta < pi/4``. On an arc ``|u| = r, 0 <= arg u <= theta`` the real
+    part of the exponent is at most ``-r^2 min_phi (a sin 2 phi + c cos 2 phi)
+    + 2 c |z*| r``, and the minimum is positive, so the arcs vanish as r
+    grows and, by Cauchy, the path integral equals the real-line one. On the
+    path ``a cos 2 theta = c sin 2 theta`` cancels the chirp exactly; the
+    exponent is ``-q v^2 - 2 c z* e^{i theta} v - c z*^2`` with
+    ``q = a sin 2 theta + c cos 2 theta = sqrt(a^2 + c^2)``: a Gaussian of
+    width ``s_v = (2 q)^(-1/2)`` about ``v0 = -c z* cos(theta)/q`` times the
+    linear phase of wavenumber ``2 c |z*| sin theta``, whatever t. As
+    ``tan theta <= 2 a/c``, its peak ``exp(q v0^2 - c z*^2)`` is at most 1.
+    Uniform panels (``_uniform_edges``) cover ``v0 +- W s_v``,
+    ``W = _WINDOW_SIGMAS``; the Gaussian tails beyond carry
+    ``exp(-W^2/2) sqrt(2/pi)/W`` of the path mass
+    ``int |g| = mod sqrt(pi/q) exp(q v0^2 - c z*^2)``.
+
+    The phase. ``Phi`` reaches 1e10 rad and far more, so it is formed in
+    exact rationals from the double inputs, and ``z*`` with it (then
+    rounded once); ``exp(i Phi)`` comes from ``_exp_i``.
+
+    The rounding bound ``R = K eps (P + Q + 1) int |g|``, ``P = c z*^2``,
+    ``Q = W^2/2``. On the window ``a |v|^2 <= 2 (P + Q)``,
+    ``c (|z*| + |v|)^2 <= 6 P + 4 Q`` and ``|v| |g'/g| <= 4 (P + Q)``. In
+    units of eps/2, a node's value carries:
+
+    - the exponent: ``a``, ``c`` and ``z*`` enter with 2, 2 and 1
+      roundings, ``e^{i theta} v``, the scalings and the sum with 1 per
+      component, the two complex squares with 2.25 each: ``8.25 a |v|^2 +
+      12.25 c (|z*| + |v|)^2``, at most ``eps (45 P + 33 Q)``;
+      ``e^{i theta}``'s own rounding moves the path, not the integral;
+    - the node's place, 3 roundings and 1 for its panel's ends, times
+      ``|g'/g|``: ``4 |v| |g'/g|``, at most ``eps (8 P + 8 Q)``;
+    - the complex exp (4), ``mod`` (6), ``e^{-i pi/4}`` (3), the panel's
+      half-width (1), the three products into the integrand (7), the
+      dropped rest of ``Phi`` (2) and 4 for each of the n <= 21 factors of
+      ``exp(i Phi)``: ``23 + 4 n``, at most ``54 eps``.
+
+    Weighted by the rule, that is ``eps (53 P + 41 Q + 54) int |g|``, under
+    ``R`` with ``K = 64``; the rule's own sums lie under QUADPACK's floor
+    ``50 eps int |g|`` (see ``_gk_panels``). ``R``, the tails and a floor
+    for values that underflow join the reported error, and when ``R``
+    alone reaches abs_tol at any point the call raises before any layout.
 
     The result equals the closed-form evolved packet up to one global
     (z-independent) phase per time; that is what the validation checks
@@ -500,52 +453,51 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
         raise ValueError("kernel propagation requires finite z")
 
     sigma0 = params.sigma0
-    inv4s02 = 1.0 / (4.0 * sigma0 * sigma0)
-    hbar = params.hbar
-    m = params.mass
-    f = params.force
+    c = 1.0 / (4.0 * sigma0 * sigma0)
+    m, hbar, f = params.mass, params.hbar, params.force
     a = m / (2.0 * hbar * t)
-    b_lin = s * f * t / (2.0 * hbar)
-    delta_z = f * t * t / (2.0 * m)
     mod = math.sqrt(m / (2.0 * math.pi * hbar * t)) * (2.0 * math.pi * sigma0**2) ** -0.25
-    cubic = (f * t / hbar) * (f * t * t) / (24.0 * m)
 
-    # Initial packet mass beyond the window, plain absolute bound.
-    beyond_window = mod * (4.0 * sigma0 / _WINDOW_SIGMAS) * math.exp(
-        -0.25 * _WINDOW_SIGMAS**2
-    )
-    if z_grid.size and beyond_window >= spec.abs_tol:
+    # Phi and z* in exact rationals from the double inputs.
+    m_x, hbar_x, f_x, t_x = (Fraction(v) for v in (m, hbar, f, t))
+    a_x = m_x / (2 * hbar_x * t_x)
+    b_x = s * f_x * t_x / (2 * hbar_x)
+    s_dz = s * f_x * t_x * t_x / (2 * m_x)
+    phi_glob = a_x * s_dz * s_dz + b_x * s_dz - f_x * f_x * t_x**3 / (24 * m_x * hbar_x)
+    two_b = 2 * b_x
+    zstar_x = [Fraction(z) - s_dz for z in z_grid.tolist()]
+    zstar = np.array([float(v) for v in zstar_x])
+
+    theta = 0.5 * math.atan2(a, c)
+    rot = complex(math.cos(theta), math.sin(theta))
+    q = math.hypot(a, c)
+    s_v = 1.0 / math.sqrt(2.0 * q)
+    v0 = (-c * math.cos(theta) / q) * zstar
+    p = c * zstar * zstar
+    mass = mod * math.sqrt(math.pi / q) * np.exp(q * v0 * v0 - p)
+    rounding = 64.0 * _EPS * (p + 0.5 * _WINDOW_SIGMAS**2 + 1.0) * mass  # K = 64, as derived
+    if z_grid.size and rounding.max() >= spec.abs_tol:
         raise QuadratureConvergenceError(
-            f"kernel convolution: tolerance {spec.abs_tol:.3e} is under the bound "
-            f"{beyond_window:.3e} on the initial packet beyond the window")
-
-    zstar = z_grid - s * delta_z
-    # Kernel phase a(z-z')^2 + b(z+z') about its stationary point z' = zstar:
-    # a u^2 plus a dz^2 + s b dz + 2 b zstar, as z - zstar = s dz. Only the
-    # last term varies with z; the others (up to ~1e10 rad) round globally.
-    const = mod * cmath.exp(1j * (a * delta_z * delta_z + s * b_lin * delta_z - cubic
-                                  - 0.25 * math.pi)) * np.exp(1j * (2.0 * b_lin * zstar))
-    lo, hi, k_max, rem, inside = _live_windows(zstar, a, sigma0, mod, spec.abs_tol / 4.0)
-
-    # Boundary corrections at the interior cuts; the others are dropped.
-    sign = np.array([1.0, -1.0])
-    cut = np.where(inside, np.stack([hi, -lo], axis=-1), _WINDOW_SIGMAS * sigma0)
-    x_c = zstar[:, None] + sign * cut
-    env_c = np.exp(-x_c * x_c * inv4s02)
-    denv = -2.0 * sign * x_c * inv4s02 * env_c  # outward derivative
-    d2env = (4.0 * x_c * x_c * inv4s02 * inv4s02 - 2.0 * inv4s02) * env_c
-    terms = _kernel_tail_correction(cut, env_c, denv, d2env, a)
-    corr = const * np.where(inside, terms, 0.0).sum(axis=-1)
+            f"kernel convolution: tolerance {spec.abs_tol:.3e} is under the rounding "
+            f"bound {rounding.max():.3e}", error_bound=float(rounding.max()))
+    half = _WINDOW_SIGMAS * s_v
+    # Values under the smallest normal double keep no relative precision:
+    # each is off by at most (mod + 1) _TINY, over a window 2 half wide.
+    tails = mass * (math.exp(-0.5 * _WINDOW_SIGMAS**2) * math.sqrt(2.0 / math.pi)
+                    / _WINDOW_SIGMAS) + ((mod + 1.0) * 2.0 * half + 1.0) * _TINY
+    wavenumber = (2.0 * c * math.sin(theta)) * np.abs(zstar)
+    prefactor = mod * cmath.exp(-0.25j * math.pi) * rot  # rot: du = e^{i theta} dv
 
     samples: list[KernelSample] = []
     bounds = np.empty(z_grid.size)
     for i, z in enumerate(z_grid):
-        edges = _uniform_edges(lo[i], hi[i], k_max[i], sigma0)
-        integrand = lambda u: kernels.kernel_integrand(u, zstar[i], inv4s02, a, const[i])
+        const = prefactor * _exp_i(phi_glob + two_b * zstar_x[i])
+        edges = _uniform_edges(v0[i] - half, v0[i] + half, wavenumber[i], s_v)
+        integrand = lambda v: kernels.kernel_integrand(v, zstar[i], c, a, rot, const)
         value, err, _ = _adaptive(integrand, edges, spec.abs_tol,
-                                  extra_error=rem[i] + beyond_window,
+                                  extra_error=rounding[i] + tails[i],
                                   what=f"kernel convolution at z={z:.6g}")
-        samples.append(KernelSample(z=float(z), value=complex(value + corr[i])))
+        samples.append(KernelSample(z=float(z), value=value))
         bounds[i] = err
 
     return (samples, bounds) if full_output else samples

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -27,5 +28,19 @@ def params_with_chi(chi_target: float, base: ExperimentParams | None = None) -> 
         mass=base.mass,
         field_gradient=base.field_gradient,
         sigma0=sigma,
+        magnetic_moment=base.magnetic_moment,
+    )
+
+
+@st.composite
+def beams(draw) -> ExperimentParams:
+    """Beams log-uniform around ``typical_params()``: mass and field gradient
+    over three decades either side, the initial width over two."""
+    base = typical_params()
+    decades = lambda span: 10.0 ** draw(st.floats(-span, span))
+    return ExperimentParams(
+        mass=base.mass * decades(3.0),
+        field_gradient=base.field_gradient * decades(3.0),
+        sigma0=base.sigma0 * decades(2.0),
         magnetic_moment=base.magnetic_moment,
     )

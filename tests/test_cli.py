@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgcoherence import cli
+from sgcoherence import cli, typical_params
 from sgcoherence.cli import main
 
 HEADER_SERIES = "t_s,coherence,entropy_paper,entropy_purity,sep_position,sep_momentum"
@@ -234,7 +234,8 @@ def test_validate_kernel_failure_fails_both_kernel_checks(capsys):
     # phase check alike, so every check keeps one line.
     assert main(["validate", "--abs-tol", "1e-40"]) == 1
     out = capsys.readouterr().out
-    for t in ("2e-09", "1e-06", "1e-05"):
+    t_s = typical_params().spreading_time
+    for t in ("2e-09", "1e-06", "1e-05", f"{0.1 * t_s:g}", f"{t_s:g}"):
         for name in (f"kernel_density_match_t={t}", f"kernel_phase_constancy_t={t}"):
             lines = [line for line in out.splitlines() if line.startswith(name + " ")]
             assert len(lines) == 1 and lines[0].endswith(" FAIL")

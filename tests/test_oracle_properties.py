@@ -9,11 +9,11 @@ itself ([0, 5] tau) and far past it (10^[0, 5] tau).
 import math
 from unittest import mock
 
+from conftest import beams
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgcoherence import (
-    ExperimentParams,
     QuadratureConvergenceError,
     QuadratureSpec,
     coherence,
@@ -24,20 +24,7 @@ from sgcoherence import (
     overlap_quadrature,
     packet_norm_quadrature,
     total_density_norm_quadrature,
-    typical_params,
 )
-
-
-@st.composite
-def beams(draw) -> ExperimentParams:
-    base = typical_params()
-    decades = lambda span: 10.0 ** draw(st.floats(-span, span))
-    return ExperimentParams(
-        mass=base.mass * decades(3.0),
-        field_gradient=base.field_gradient * decades(3.0),
-        sigma0=base.sigma0 * decades(2.0),
-        magnetic_moment=base.magnetic_moment,
-    )
 
 
 _TIMES_IN_TAU = st.one_of(

@@ -110,9 +110,9 @@ def test_norm_tolerance_under_rounding_floor_fails_after_initial_layout(typical,
     assert "rounding floor" in str(exc_info.value)
 
 
-def test_kernel_tolerance_under_window_bound_fails_before_layout(typical, monkeypatch):
-    # The initial packet beyond the window is bounded by ~5.7e-11 here, so
-    # abs_tol 1e-15 is out of reach before any panel is laid out.
+def test_kernel_tolerance_under_rounding_bound_fails_before_layout(typical, monkeypatch):
+    # The rounding bound of the path integrand is ~2e-10 here, so abs_tol
+    # 1e-15 is out of reach before any panel is laid out.
     calls = _count_gk_panel_calls(monkeypatch)
     k = kinematics(typical, 2e-9)
     z = np.linspace(k.delta_z_bar - k.sigma_t, k.delta_z_bar + k.sigma_t, 3)
@@ -120,17 +120,17 @@ def test_kernel_tolerance_under_window_bound_fails_before_layout(typical, monkey
         propagate_via_kernel(typical, +1, z, 2e-9, QuadratureSpec(abs_tol=1e-15))
     assert calls == []
     assert exc_info.value.estimate == 0.0
-    assert exc_info.value.error_bound == math.inf
-    assert "beyond the window" in str(exc_info.value)
+    assert 1e-15 < exc_info.value.error_bound < 1e-9
+    assert "rounding bound" in str(exc_info.value)
 
 
 def test_kernel_layout_over_the_budget_fails_before_any_panel(typical, monkeypatch):
-    # z = 1 mm lies ~100 widths from the packet at 1 us: the stationary point
-    # is far outside the initial window, over which the kernel phase needs
-    # ~1e8 panels, more than _MAX_INITIAL_PANELS.
+    # z = 10 km lies ~1e9 widths from the packet at 1 us. On the rotated
+    # path the linear phase there needs ~4e6 panels, more than
+    # _MAX_INITIAL_PANELS, though the integrand underflows to 0 throughout.
     calls = _count_gk_panel_calls(monkeypatch)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
-        propagate_via_kernel(typical, +1, [1e-3], 1e-6, QuadratureSpec(1e-5))
+        propagate_via_kernel(typical, +1, [1e4], 1e-6, QuadratureSpec(1e-5))
     assert calls == []
     assert "over the budget" in str(exc_info.value)
 
