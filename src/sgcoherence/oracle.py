@@ -4,8 +4,8 @@ Three oracles live here, none of which reuses the closed forms it is meant
 to validate:
 
 ``overlap_quadrature``
-    Adaptive Gauss-Kronrod integration of the pointwise product of the two
-    branch wavefunctions, checking the coherence formula.
+    Gauss-Kronrod integration of the pointwise product of the two branch
+    wavefunctions, checking the coherence formula.
 
 ``propagate_via_kernel``
     Direct convolution of the constant-force propagator with the *initial*
@@ -15,17 +15,19 @@ to validate:
     Bracketing/bisection root solve of C(t) = 1/e, checking the closed-form
     decay time.
 
-The integrands oscillate. Every oracle lays out one kind of initial
-panels, uniform ones that sample the fastest local oscillation in their
-window at least ``_POINTS_PER_OSCILLATION`` times. Regions that provably
-contribute less than the tolerance (Gaussian tails) are replaced by
-explicit bounds that are added to the reported error instead of being
-silently dropped; one integration-by-parts bound certifies a negligible
-overlap unsampled. The kernel convolution runs along a rotated contour on
-which its chirp cancels, so it integrates a Gaussian whatever the time,
-and it bounds the rounding of the integrand it evaluates. The only setting
-is the absolute tolerance of ``QuadratureSpec``; the window, the
-resolution and the subdivision budget are the constants below.
+The integrands oscillate. Every oracle lays out one kind of panels,
+uniform ones that sample the fastest local oscillation in their window at
+least ``_POINTS_PER_OSCILLATION`` times, and integrates them in one
+Gauss-Kronrod pass; nothing is refined, and a bound over the tolerance
+raises at once. Regions that provably contribute less than the tolerance
+(Gaussian tails) are replaced by explicit bounds that are added to the
+reported error instead of being silently dropped; one integration-by-parts
+bound certifies a negligible overlap, and the path mass a negligible
+kernel value, unsampled. The kernel convolution runs along a rotated
+contour on which its chirp cancels, so it integrates a Gaussian whatever
+the time, and it bounds the rounding of the integrand it evaluates. The
+only setting is the absolute tolerance of ``QuadratureSpec``; the window
+and the resolution are the constants below.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ _TINY = float(np.finfo(float).tiny)
 #: Highest integration-by-parts order of the fast-phase overlap bound.
 _IBP_MAX_ORDER = 8
 
-#: Hard ceiling on the initial panel count of a single integral.
+#: Hard ceiling on the panel count of a single integral.
 _MAX_INITIAL_PANELS = 2**21
 
 #: Nodes evaluated per integrand call while batching panels.
@@ -121,11 +123,8 @@ _CHUNK_NODES = 393216
 _WINDOW_SIGMAS = 12.0
 
 #: Fewest samples per local oscillation of an integrand's phase in the
-#: initial panel layout (a 15-node panel spans at most 15/20 of a period).
-_POINTS_PER_OSCILLATION = 20.0
-
-#: Most panel splits one adaptive integral may make after its initial layout.
-_MAX_SUBDIVISIONS = 2**20
+#: panel layout (a 15-node panel spans at most 15/40 of a period).
+_POINTS_PER_OSCILLATION = 40.0
 
 
 @dataclass(frozen=True)
@@ -165,12 +164,12 @@ class KernelSample:
 def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
     """Gauss-Kronrod 15(7) values, error estimates and floors for a batch of panels.
 
-    Returns ``(values, errors, floors)``. The floor of a panel is QUADPACK's
-    rounding floor ``50 eps resabs h``, with ``resabs h`` the Kronrod
-    integral of ``|f|`` over the panel; each error is at least its floor.
-    Summed over panels the floors approximate ``50 eps int |f|``, which
-    bisecting panels of a layout that resolves ``|f|`` leaves unchanged, so
-    no refinement brings the total error under it.
+    Returns ``(values, errors, floors)``. Each error is QUADPACK's qk15
+    estimate, and at least the panel's floor: QUADPACK's rounding floor
+    ``50 eps resabs h``, with ``resabs h`` the Kronrod integral of ``|f|``
+    over the panel. Summed over panels the floors approximate
+    ``50 eps int |f|``, which a finer layout that resolves ``|f|`` leaves
+    unchanged, so no layout brings the total error under it.
     """
     n = centers.size
     vals = np.empty(n, dtype=complex)
@@ -202,70 +201,33 @@ def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
     return vals, errs, floors
 
 
-def _adaptive(integrand, edges: np.ndarray, abs_tol: float,
-              extra_error: float = 0.0, what: str = "integral"):
-    """Adaptive Gauss-Kronrod integration over a fixed panel skeleton.
+def _integrate(integrand, edges: np.ndarray, abs_tol: float,
+               extra_error: float = 0.0, what: str = "integral"):
+    """One Gauss-Kronrod 15(7) pass over a panel layout that resolves the integrand.
 
     ``extra_error`` is a bound on everything outside the panels (truncated
-    tails); it is part of the reported error and of the convergence target.
-
-    Refinement runs in passes. Each pass sorts the panels by error and
-    bisects, in one batch, the fewest worst panels whose removal would
-    leave at most ``abs_tol - extra_error`` on the rest: the panels that
-    splitting one at a time, worst first, would reach if the children had
-    no error. Every panel is still a qk15 panel with QUADPACK's error
-    heuristic, and ``_MAX_SUBDIVISIONS`` caps the total number of splits:
-    a pass splits at most what is left of it. Returns
-    ``(value, error_bound, splits)``.
-
-    The tolerance is given up on at once, right after the initial layout,
-    when ``extra_error`` plus the panels' rounding floor (see
-    ``_gk_panels``) already reaches ``abs_tol``: no subdivision can lower
-    either. Both that and a spent budget raise
-    ``QuadratureConvergenceError`` carrying the best estimate and its bound.
+    tails, rounding); it is part of the reported error. Returns
+    ``(value, error_bound)``. The layouts of ``_uniform_edges`` are fine
+    enough that, over the beams the property tests draw, one pass meets
+    every tolerance above the rounding floor; when the bound still
+    exceeds ``abs_tol`` the call raises
+    ``QuadratureConvergenceError`` with the estimate, the bound and its
+    parts that no finer layout lowers: ``extra_error`` and the panels'
+    rounding floor (see ``_gk_panels``).
     """
     centers = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * np.diff(edges)
     vals, errs, floors = _gk_panels(integrand, centers, halfw)
+    value = complex(vals.sum())
     total_err = float(errs.sum()) + extra_error
-
-    # Only the panel part of the error above its rounding floor is
-    # reducible by subdividing.
-    panel_target = abs_tol - extra_error
-    floor = float(floors.sum())
-    if total_err > abs_tol and floor >= panel_target:
+    if total_err > abs_tol:
         raise QuadratureConvergenceError(
-            f"{what}: tolerance {abs_tol:.3e} is under the truncation bounds "
-            f"{extra_error:.3e} plus the panels' rounding floor {floor:.3e}",
-            estimate=complex(vals.sum()),
+            f"{what}: tolerance {abs_tol:.3e} not reached; the truncation bounds are "
+            f"{extra_error:.3e} and the panels' rounding floor {float(floors.sum()):.3e}",
+            estimate=value,
             error_bound=total_err,
         )
-
-    splits = 0
-    while total_err > abs_tol:
-        order = np.argsort(errs)
-        n_keep = int(np.searchsorted(np.cumsum(errs[order]), panel_target, side="right"))
-        # At least one: the running sum and errs.sum() may round apart.
-        n_split = min(max(errs.size - n_keep, 1), _MAX_SUBDIVISIONS - splits)
-        if n_split <= 0:
-            raise QuadratureConvergenceError(
-                f"{what}: tolerance {abs_tol:.3e} not reached after {splits} subdivisions",
-                estimate=complex(vals.sum()),
-                error_bound=total_err,
-            )
-        keep, worst = order[:-n_split], order[-n_split:]
-        h_child = 0.5 * halfw[worst]
-        child_c = np.concatenate([centers[worst] - h_child, centers[worst] + h_child])
-        child_h = np.concatenate([h_child, h_child])
-        child_v, child_e, _ = _gk_panels(integrand, child_c, child_h)
-        centers = np.concatenate([centers[keep], child_c])
-        halfw = np.concatenate([halfw[keep], child_h])
-        vals = np.concatenate([vals[keep], child_v])
-        errs = np.concatenate([errs[keep], child_e])
-        splits += n_split
-        total_err = float(errs.sum()) + extra_error
-
-    return complex(vals.sum()), total_err, splits
+    return value, total_err
 
 
 def _uniform_edges(lo: float, hi: float, wavenumber: float,
@@ -355,8 +317,8 @@ def overlap_quadrature(params: ExperimentParams, t: float,
     amp = (2.0 * math.pi * sigma_t**2) ** -0.25
     amp2, inv4s2 = amp * amp, 1.0 / (4.0 * sigma_t**2)
     integrand = lambda z: kernels.overlap_integrand(z, amp2, inv4s2, dzbar, k_cross)
-    value, err, _ = _adaptive(integrand, edges, spec.abs_tol,
-                              extra_error=tail_bound, what="overlap quadrature")
+    value, err = _integrate(integrand, edges, spec.abs_tol,
+                            extra_error=tail_bound, what="overlap quadrature")
     return (value, err) if full_output else value
 
 
@@ -437,6 +399,9 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     ``50 eps int |g|`` (see ``_gk_panels``). ``R``, the tails and a floor
     for values that underflow join the reported error, and when ``R``
     alone reaches abs_tol at any point the call raises before any layout.
+    A point where the path mass, ``R`` and the tails together are at most
+    abs_tol/8 is 0 with that bound, unsampled (``|psi| <= int |g|``); a
+    ``P`` that overflows raises ``ValueError``.
 
     The result equals the closed-form evolved packet up to one global
     (z-independent) phase per time; that is what the validation checks
@@ -473,8 +438,15 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     q = math.hypot(a, c)
     s_v = 1.0 / math.sqrt(2.0 * q)
     v0 = (-c * math.cos(theta) / q) * zstar
-    p = c * zstar * zstar
-    mass = mod * math.sqrt(math.pi / q) * np.exp(q * v0 * v0 - p)
+    with np.errstate(over="ignore"):
+        p = c * zstar * zstar
+    if not np.all(np.isfinite(p)):
+        bad = float(z_grid[~np.isfinite(p)][0])
+        raise ValueError(f"kernel propagation: c z*^2 overflows at z={bad:.6g}")
+    # The path mass's exponent q v0^2 - p is -x with x = p (1 - c cos^2(theta)/q)
+    # = p a^2 (2 q + c)/(2 q^2 (q + c)), in [0, p]: no inf - inf, no cancellation.
+    x = p * (a * a * (2.0 * q + c) / (2.0 * q * q * (q + c)))
+    mass = mod * math.sqrt(math.pi / q) * np.exp(-x)
     rounding = 64.0 * _EPS * (p + 0.5 * _WINDOW_SIGMAS**2 + 1.0) * mass  # K = 64, as derived
     if z_grid.size and rounding.max() >= spec.abs_tol:
         raise QuadratureConvergenceError(
@@ -487,16 +459,22 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
                     / _WINDOW_SIGMAS) + ((mod + 1.0) * 2.0 * half + 1.0) * _TINY
     wavenumber = (2.0 * c * math.sin(theta)) * np.abs(zstar)
     prefactor = mod * cmath.exp(-0.25j * math.pi) * rot  # rot: du = e^{i theta} dv
+    # |psi| <= int |g| = mass, rounded up by exp's condition number x.
+    zero_bound = mass * (1.0 + 8.0 * _EPS * (1.0 + x)) + rounding + tails
 
     samples: list[KernelSample] = []
     bounds = np.empty(z_grid.size)
     for i, z in enumerate(z_grid):
+        if zero_bound[i] <= spec.abs_tol / 8.0:
+            samples.append(KernelSample(z=float(z), value=0j))
+            bounds[i] = zero_bound[i]
+            continue
         const = prefactor * _exp_i(phi_glob + two_b * zstar_x[i])
         edges = _uniform_edges(v0[i] - half, v0[i] + half, wavenumber[i], s_v)
         integrand = lambda v: kernels.kernel_integrand(v, zstar[i], c, a, rot, const)
-        value, err, _ = _adaptive(integrand, edges, spec.abs_tol,
-                                  extra_error=rounding[i] + tails[i],
-                                  what=f"kernel convolution at z={z:.6g}")
+        value, err = _integrate(integrand, edges, spec.abs_tol,
+                                extra_error=rounding[i] + tails[i],
+                                what=f"kernel convolution at z={z:.6g}")
         samples.append(KernelSample(z=float(z), value=value))
         bounds[i] = err
 
@@ -566,8 +544,8 @@ def packet_norm_quadrature(params: ExperimentParams, branch: int, t: float,
     # peak = 0.8/sigma, taken as 1/sigma for the rule's own error: 7.5 eps
     # Z/sigma, rounded up to 8.
     extra = 8.0 * _EPS * (abs(center) + halfwidth) / k.sigma_t
-    value, err, _ = _adaptive(integrand, edges, spec.abs_tol, extra_error=extra,
-                              what="packet norm")
+    value, err = _integrate(integrand, edges, spec.abs_tol, extra_error=extra,
+                            what="packet norm")
     return float(value.real), err
 
 
@@ -589,7 +567,7 @@ def total_density_norm_quadrature(params: ExperimentParams, t: float,
 
     # Node rounding as in packet_norm_quadrature; the mixture's int |rho'| is
     # no larger.
-    value, err, _ = _adaptive(integrand, edges, spec.abs_tol,
-                              extra_error=8.0 * _EPS * halfwidth / k.sigma_t,
-                              what="total density norm")
+    value, err = _integrate(integrand, edges, spec.abs_tol,
+                            extra_error=8.0 * _EPS * halfwidth / k.sigma_t,
+                            what="total density norm")
     return float(value.real), err

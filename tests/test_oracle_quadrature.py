@@ -1,6 +1,5 @@
 """Overlap quadrature oracle: agreement, self-consistency, failure modes."""
 
-import heapq
 import math
 
 import numpy as np
@@ -124,14 +123,33 @@ def test_kernel_tolerance_under_rounding_bound_fails_before_layout(typical, monk
     assert "rounding bound" in str(exc_info.value)
 
 
-def test_kernel_layout_over_the_budget_fails_before_any_panel(typical, monkeypatch):
+@pytest.mark.parametrize("z", [1e4, 1e10, 1e100])
+def test_kernel_far_point_is_a_certified_zero_before_any_panel(typical, monkeypatch, z):
     # z = 10 km lies ~1e9 widths from the packet at 1 us. On the rotated
-    # path the linear phase there needs ~4e6 panels, more than
-    # _MAX_INITIAL_PANELS, though the integrand underflows to 0 throughout.
+    # path the linear phase there would need ~4e6 panels, more than
+    # _MAX_INITIAL_PANELS, but the path mass, which bounds the value,
+    # underflows to 0 there and farther out.
     calls = _count_gk_panel_calls(monkeypatch)
-    with pytest.raises(QuadratureConvergenceError) as exc_info:
-        propagate_via_kernel(typical, +1, [1e4], 1e-6, QuadratureSpec(1e-5))
+    samples, bounds = propagate_via_kernel(typical, +1, [z], 1e-6, QuadratureSpec(1e-5),
+                                           full_output=True)
     assert calls == []
+    assert samples[0].value == 0.0
+    assert 0.0 < bounds[0] < 1e-300
+
+
+@pytest.mark.parametrize("z", [1e150, 1e300])
+def test_kernel_point_whose_path_exponent_overflows_is_rejected(typical, z):
+    with pytest.raises(ValueError, match="overflows"):
+        propagate_via_kernel(typical, +1, [0.0, z], 1e-6, QuadratureSpec(1e-5))
+
+
+def test_layout_over_the_budget_fails_before_any_panel():
+    n = oracle._MAX_INITIAL_PANELS
+    assert oracle._uniform_edges(0.0, 0.5 * n, 0.0, 1.0).size == n + 1
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        oracle._uniform_edges(0.0, 0.5 * n + 1.0, 0.0, 1.0)
+    assert exc_info.value.estimate == 0.0
+    assert exc_info.value.error_bound == math.inf
     assert "over the budget" in str(exc_info.value)
 
 
@@ -153,7 +171,8 @@ def test_validate_overlap_sweep_samples_few_nodes(typical, monkeypatch):
 
 def test_bisection_keeps_the_rounding_floor():
     # On a layout that resolves the envelope, the two halves of a panel
-    # carry the floor of the whole: the guard in _adaptive relies on it.
+    # carry the floor of the whole: no finer layout lowers it, so
+    # _integrate's error names it as a limit.
     integrand = lambda z: np.exp(-0.5 * z * z + 3j * z)
     edges = np.linspace(-10.0, 10.0, 41)
     centers = 0.5 * (edges[1:] + edges[:-1])
@@ -204,96 +223,18 @@ def test_overlap_integrand_is_branch_product(typical):
         assert float(np.abs(np.angle(fused / reference)).max()) <= phase_noise
 
 
-def _heap_adaptive(integrand, edges, abs_tol, max_subdivisions, extra_error=0.0):
-    """Reference refinement: split the single worst panel at a time from a heap."""
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    halfw = 0.5 * np.diff(edges)
-    vals, errs, _ = oracle._gk_panels(integrand, centers, halfw)
-    centers_l, halfw_l, vals_l, errs_l = list(centers), list(halfw), list(vals), list(errs)
-    heap = [(-e, i) for i, e in enumerate(errs_l)]
-    heapq.heapify(heap)
-    splits = 0
-    total_err = float(errs.sum()) + extra_error
-    while total_err > abs_tol:
-        if splits >= max_subdivisions:
-            raise QuadratureConvergenceError("budget", complex(sum(vals_l)), total_err)
-        neg_err, idx = heapq.heappop(heap)
-        if -neg_err != errs_l[idx]:
-            continue  # stale heap entry
-        h_child = 0.5 * halfw_l[idx]
-        child_c = np.array([centers_l[idx] - h_child, centers_l[idx] + h_child])
-        child_v, child_e, _ = oracle._gk_panels(
-            integrand, child_c, np.array([h_child, h_child])
-        )
-        total_err += float(child_e.sum()) - errs_l[idx]
-        splits += 1
-        centers_l[idx], halfw_l[idx] = child_c[0], h_child
-        vals_l[idx], errs_l[idx] = child_v[0], float(child_e[0])
-        heapq.heappush(heap, (-errs_l[idx], idx))
-        centers_l.append(child_c[1])
-        halfw_l.append(h_child)
-        vals_l.append(child_v[1])
-        errs_l.append(float(child_e[1]))
-        heapq.heappush(heap, (-errs_l[-1], len(errs_l) - 1))
-    return complex(np.sum(np.asarray(vals_l))), total_err, splits
-
-
 @pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
-def test_adaptive_refines_to_tolerance_and_raises_on_budget(abs_tol, monkeypatch):
+def test_integrate_raises_on_coarse_panels_and_meets_tolerance_on_resolving_ones(
+        abs_tol, monkeypatch):
     integrand = lambda z: np.exp(-0.5 * z * z + 3j * z)
-    edges = np.linspace(-10.0, 10.0, 5)
     exact = math.sqrt(2.0 * math.pi) * math.exp(-4.5)
-    value, bound, splits = oracle._adaptive(integrand, edges, abs_tol)
-    assert splits > 0
-    assert abs(value - exact) <= bound <= abs_tol
-
-    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", splits - 1)
+    calls = _count_gk_panel_calls(monkeypatch)
     with pytest.raises(QuadratureConvergenceError) as exc_info:
-        oracle._adaptive(integrand, edges, abs_tol)
+        oracle._integrate(integrand, np.linspace(-10.0, 10.0, 5), abs_tol)
+    assert len(calls) == 1
     assert exc_info.value.error_bound > abs_tol
-    assert f"after {splits - 1} subdivisions" in str(exc_info.value)
 
-
-def test_adaptive_splits_as_many_panels_as_heap_refinement(typical, monkeypatch):
-    calls = []
-    original = oracle._adaptive
-
-    def recording(*args, **kwargs):
-        result = original(*args, **kwargs)
-        calls.append((args, kwargs, result))
-        return result
-
-    monkeypatch.setattr(oracle, "_adaptive", recording)
-    tau = decoherence_time(typical)
-    spec = QuadratureSpec(abs_tol=1e-12)
-    for t in np.geomspace(1e-3, 3e3, 8) * tau:
-        overlap_quadrature(typical, float(t), spec)
-
-    refined = 0
-    for (integrand, edges, abs_tol), kwargs, (value, _, splits) in calls:
-        ref_value, _, ref_splits = _heap_adaptive(
-            integrand, edges, abs_tol, oracle._MAX_SUBDIVISIONS, kwargs["extra_error"]
-        )
-        assert splits == ref_splits
-        assert abs(value - ref_value) <= 1e-15
-        refined += splits > 0
-    assert refined > 0
-
-
-def test_adaptive_splits_when_running_sum_rounds_below_total(monkeypatch):
-    # Summed in sorted order these panel errors come one ulp under errs.sum(),
-    # so at this tolerance every panel "fits" although the total does not.
-    errs = np.array([0.0006369616873214543, 0.0002697867137638703, 0.0004097352393619469])
-    abs_tol = float(np.cumsum(np.sort(errs))[-1])
-    assert float(errs.sum()) > abs_tol
-
-    def panels(integrand, centers, halfw):
-        first = centers.size == errs.size
-        zeros = np.zeros(centers.size)
-        return zeros + 0j, errs if first else zeros, zeros
-
-    monkeypatch.setattr(oracle, "_gk_panels", panels)
-    monkeypatch.setattr(oracle, "_MAX_SUBDIVISIONS", 10)
-    _, bound, splits = oracle._adaptive(None, np.linspace(0.0, 1.0, 4), abs_tol)
-    assert splits == 1
-    assert bound <= abs_tol
+    value, bound = oracle._integrate(integrand, oracle._uniform_edges(-10.0, 10.0, 3.0, 1.0),
+                                     abs_tol)
+    assert len(calls) == 2
+    assert abs(value - exact) <= bound <= abs_tol
