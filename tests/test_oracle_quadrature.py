@@ -224,8 +224,10 @@ def test_overlap_integrand_is_branch_product(typical):
 
 
 @pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
-def test_integrate_raises_on_coarse_panels_and_meets_tolerance_on_resolving_ones(
-        abs_tol, monkeypatch):
+def test_adaptive_refines_to_tolerance_and_raises_on_budget(abs_tol, monkeypatch):
+    # The layout adapts to the integrand's scales, and one pass on it meets
+    # the tolerance; coarse panels raise after that one pass, and a layout
+    # the panel budget cannot hold raises before any.
     integrand = lambda z: np.exp(-0.5 * z * z + 3j * z)
     exact = math.sqrt(2.0 * math.pi) * math.exp(-4.5)
     calls = _count_gk_panel_calls(monkeypatch)
@@ -234,7 +236,12 @@ def test_integrate_raises_on_coarse_panels_and_meets_tolerance_on_resolving_ones
     assert len(calls) == 1
     assert exc_info.value.error_bound > abs_tol
 
-    value, bound = oracle._integrate(integrand, oracle._uniform_edges(-10.0, 10.0, 3.0, 1.0),
-                                     abs_tol)
+    edges = oracle._uniform_edges(-10.0, 10.0, 3.0, 1.0)
+    value, bound = oracle._integrate(integrand, edges, abs_tol)
     assert len(calls) == 2
     assert abs(value - exact) <= bound <= abs_tol
+
+    monkeypatch.setattr(oracle, "_MAX_INITIAL_PANELS", edges.size - 2)
+    with pytest.raises(QuadratureConvergenceError, match="over the budget"):
+        oracle._uniform_edges(-10.0, 10.0, 3.0, 1.0)
+    assert len(calls) == 2
