@@ -19,9 +19,12 @@ The integrands oscillate. Every oracle lays out one kind of panels,
 uniform ones that sample the fastest local oscillation in their window at
 least ``_POINTS_PER_OSCILLATION`` times, and integrates them in one
 Gauss-Kronrod pass; nothing is refined, and a bound over the tolerance
-raises at once. Regions that provably contribute less than the tolerance
-(Gaussian tails) are replaced by explicit bounds that are added to the
-reported error instead of being silently dropped; one integration-by-parts
+raises at once. The pass is segmented: it takes the panels of many
+integrals and sums each one's apart, so the kernel convolution integrates
+all the points of a z grid in one pass, and the overlap and norm oracles
+are its one-integral case. Regions that provably contribute less than the
+tolerance (Gaussian tails) are replaced by explicit bounds that are added
+to the reported error instead of being silently dropped; one integration-by-parts
 bound certifies a negligible overlap, and the path mass a negligible
 kernel value, unsampled. The kernel convolution runs along a rotated
 contour on which its chirp cancels, so it integrates a Gaussian whatever
@@ -35,7 +38,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -126,6 +128,10 @@ _WINDOW_SIGMAS = 12.0
 #: panel layout (a 15-node panel spans at most 15/40 of a period).
 _POINTS_PER_OSCILLATION = 40.0
 
+#: Where the one integral of a plain layout starts (a list would be
+#: converted on every call).
+_ONE_INTEGRAL = np.zeros(1, dtype=np.intp)
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -161,7 +167,7 @@ class KernelSample:
     value: complex
 
 
-def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
+def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray, *args: np.ndarray):
     """Gauss-Kronrod 15(7) values, error estimates and floors for a batch of panels.
 
     Returns ``(values, errors, floors)``. Each error is QUADPACK's qk15
@@ -170,6 +176,12 @@ def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
     over the panel. Summed over panels the floors approximate
     ``50 eps int |f|``, which a finer layout that resolves ``|f|`` leaves
     unchanged, so no layout brings the total error under it.
+
+    The panels go through ``integrand`` in chunks of at most
+    ``_CHUNK_NODES`` nodes: it gets the nodes as rows of 15, one per panel,
+    followed by the chunk's rows of each per-panel array in ``args`` as
+    columns, so that nothing the integrand broadcasts outgrows a chunk. It
+    returns a new array, which the reductions then overwrite.
     """
     n = centers.size
     vals = np.empty(n, dtype=complex)
@@ -180,12 +192,13 @@ def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
         sl = slice(start, min(n, start + per_chunk))
         c = centers[sl, None]
         h = halfw[sl, None]
-        f = integrand((c + h * _XGK[None, :]).ravel()).reshape(-1, 15)
+        f = integrand(c + h * _XGK[None, :], *(p[sl, None] for p in args))
         resk = f @ _WGK
         resg = f @ _WG15
         fabs = np.abs(f)
         resabs = fabs @ _WGK
-        resasc = np.abs(f - 0.5 * resk[:, None]) @ _WGK
+        f -= 0.5 * resk[:, None]  # reuse f and fabs: no new temporaries
+        resasc = np.abs(f, out=fabs) @ _WGK
         err = np.abs(resk - resg)
         mask = (resasc != 0.0) & (err != 0.0)
         scaled = np.empty_like(err)
@@ -201,33 +214,61 @@ def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray):
     return vals, errs, floors
 
 
-def _integrate(integrand, edges: np.ndarray, abs_tol: float,
-               extra_error: float = 0.0, what: str = "integral"):
-    """One Gauss-Kronrod 15(7) pass over a panel layout that resolves the integrand.
+def _integrate(integrand, edges: np.ndarray, abs_tol: float, extra_error=0.0,
+               what="integral", counts: np.ndarray | None = None, args=()):
+    """One Gauss-Kronrod 15(7) pass over the panels of one or more integrals.
 
-    ``extra_error`` is a bound on everything outside the panels (truncated
-    tails, rounding); it is part of the reported error. Returns
-    ``(value, error_bound)``. The layouts of ``_uniform_edges`` are fine
-    enough that, over the beams the property tests draw, one pass meets
-    every tolerance above the rounding floor; when the bound still
-    exceeds ``abs_tol`` the call raises
-    ``QuadratureConvergenceError`` with the estimate, the bound and its
-    parts that no finer layout lowers: ``extra_error`` and the panels'
-    rounding floor (see ``_gk_panels``).
+    ``edges`` holds each integral's panel edges in turn, ``counts[i] + 1``
+    of them for integral i; without ``counts`` all of ``edges`` is one
+    integral. ``args`` are per-integral arrays that reach ``integrand``
+    with its panels' rows (see ``_gk_panels``), and ``extra_error`` bounds,
+    per integral, everything outside the panels (truncated tails,
+    rounding); it is part of the reported error. Every panel goes through
+    one ``_gk_panels`` pass, and each integral adds its panels' values,
+    errors and floors in order (``np.add.reduceat``): over n panels that
+    sum rounds by at most ``(n - 1) eps/2`` times the sum of ``|values|``,
+    under the panels' floor while n <= 101. Returns ``(values,
+    error_bounds)``, arrays over the integrals, or the value and the bound
+    of the one integral when ``counts`` is None.
+
+    The layouts of ``_uniform_edges`` are fine enough that, over the beams
+    the property tests draw, one pass meets every tolerance above the
+    rounding floor; when the bound of an integral still exceeds
+    ``abs_tol`` the call raises ``QuadratureConvergenceError`` for the
+    first such integral, named by ``what`` (a string, or a function of the
+    integral's index), with its estimate, its bound and the parts of it
+    that no finer layout lowers: ``extra_error`` and the panels' rounding
+    floor (see ``_gk_panels``).
     """
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    halfw = 0.5 * np.diff(edges)
-    vals, errs, floors = _gk_panels(integrand, centers, halfw)
-    value = complex(vals.sum())
-    total_err = float(errs.sum()) + extra_error
-    if total_err > abs_tol:
+    left, right = edges[:-1], edges[1:]
+    if counts is None:
+        starts = _ONE_INTEGRAL
+    else:
+        ends = np.cumsum(counts + 1)  # one past each integral's last edge
+        keep = np.ones(left.size, dtype=bool)
+        keep[ends[:-1] - 1] = False  # the gaps between integrals
+        left, right = left[keep], right[keep]
+        starts = np.cumsum(counts) - counts
+        ids = np.repeat(np.arange(counts.size), counts)
+        args = tuple(arg[ids] for arg in args)
+    vals, errs, floors = _gk_panels(integrand, 0.5 * (right + left), 0.5 * (right - left),
+                                    *args)
+    values = np.add.reduceat(vals, starts)
+    errors = np.add.reduceat(errs, starts) + extra_error
+    failed = np.flatnonzero(errors > abs_tol)
+    if failed.size:
+        i = int(failed[0])
         raise QuadratureConvergenceError(
-            f"{what}: tolerance {abs_tol:.3e} not reached; the truncation bounds are "
-            f"{extra_error:.3e} and the panels' rounding floor {float(floors.sum()):.3e}",
-            estimate=value,
-            error_bound=total_err,
+            f"{what if isinstance(what, str) else what(i)}: tolerance {abs_tol:.3e} not "
+            f"reached; the truncation bounds are "
+            f"{np.broadcast_to(extra_error, errors.shape)[i]:.3e} and the panels' "
+            f"rounding floor {np.add.reduceat(floors, starts)[i]:.3e}",
+            estimate=complex(values[i]),
+            error_bound=float(errors[i]),
         )
-    return value, total_err
+    if counts is None:
+        return complex(values[0]), float(errors[0])
+    return values, errors
 
 
 def _uniform_edges(lo: float, hi: float, wavenumber: float,
@@ -247,6 +288,30 @@ def _uniform_edges(lo: float, hi: float, wavenumber: float,
         raise QuadratureConvergenceError(
             f"oscillation-resolving layout needs {n} panels, over the budget")
     return np.linspace(lo, hi, n + 1)
+
+
+def _uniform_layout(lo: np.ndarray, hi: np.ndarray, wavenumber: np.ndarray,
+                    envelope_scale: float):
+    """``_uniform_edges`` of many windows at once: their edges in turn, and panel counts.
+
+    The counts come from ``_uniform_edges``' formula in the same IEEE
+    operations, elementwise, and each window's edges are ``np.linspace``'s
+    to the bit: ``j ((hi - lo)/n) + lo`` for ``j < n``, then ``hi``.
+    """
+    k = np.maximum(wavenumber, 1.0 / envelope_scale)
+    width = np.minimum(0.5 * envelope_scale,
+                       15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * k))
+    n = np.maximum(4.0, np.ceil((hi - lo) / width))
+    if n.max() > _MAX_INITIAL_PANELS:
+        raise QuadratureConvergenceError(
+            f"oscillation-resolving layout needs {int(n.max())} panels, over the budget")
+    counts = n.astype(np.intp)
+    ends = np.cumsum(counts + 1)
+    window = np.repeat(np.arange(counts.size), counts + 1)
+    j = np.arange(ends[-1]) - (ends - (counts + 1))[window]
+    edges = j * ((hi - lo) / n)[window] + lo[window]
+    edges[ends - 1] = hi
+    return edges, counts
 
 
 def _ibp_bounds(sep2: float, k_sigma: float) -> list[float]:
@@ -322,16 +387,16 @@ def overlap_quadrature(params: ExperimentParams, t: float,
     return (value, err) if full_output else value
 
 
-def _exp_i(phase: Fraction) -> complex:
-    """exp(i phase) of an exact phase, as a product over the doubles it splits into.
+def _exp_i(num: int, den: int) -> complex:
+    """exp(i num/den) of an exact phase, as a product over the doubles it splits into.
 
     Each double is the one nearest to what is left of the phase (an integer
     quotient rounds correctly), and libm's cos and sin reduce it mod 2 pi
     exactly, so every factor is good to an ulp however large the phase. The
     split stops once the rest is at most eps rad; a finite double phase
-    takes at most 21 factors.
+    takes at most 21 factors. A phase past the largest double raises
+    ``OverflowError``.
     """
-    num, den = phase.numerator, phase.denominator
     out = 1.0 + 0.0j
     d = num / den
     while abs(d) > _EPS:
@@ -339,6 +404,38 @@ def _exp_i(phase: Fraction) -> complex:
         n, k = d.as_integer_ratio()  # d = n/k exactly
         num, den = num * k - n * den, den * k
         d = num / den
+    return out
+
+
+def _exact_phase_terms(params: ExperimentParams, s: int, t: float):
+    """``phi_glob``, ``2 b`` and ``s dz`` of ``propagate_via_kernel``, exactly.
+
+    Each is a ``(numerator, denominator)`` pair of integers over one
+    denominator, formed from the integer ratios of the double inputs with
+    no gcd: ``phi_glob = a dz^2 + s b dz - f^2 t^3/(24 m hbar)`` is
+    ``f^2 t^3/(3 m hbar)``, ``2 b = s f t/hbar`` and ``s dz = s f t^2/(2 m)``.
+    """
+    (mn, md), (hn, hd), (fn, fd), (tn, td) = (
+        float(v).as_integer_ratio() for v in (params.mass, params.hbar, params.force, t))
+    phi_glob = (fn * fn * tn**3 * md * hd, 3 * fd * fd * td**3 * mn * hn)
+    two_b = (s * fn * tn * hd, fd * td * hn)
+    s_dz = (s * fn * tn * tn * md, 2 * fd * td * td * mn)
+    return phi_glob, two_b, s_dz
+
+
+def _exact_phase(params: ExperimentParams, s: int, t: float, z: list[float]):
+    """``z* = z - s dz`` and ``Phi = phi_glob + 2 b z*`` at each z, exactly.
+
+    Returns one ``((z*_num, z*_den), (Phi_num, Phi_den))`` pair of integer
+    ratios per z, each term over the denominators of
+    ``_exact_phase_terms`` and of z, multiplied out with no gcd.
+    """
+    (phi_n, phi_d), (b_n, b_d), (dz_n, dz_d) = _exact_phase_terms(params, s, t)
+    phi_num, b_num, phi_den = phi_n * b_d, b_n * phi_d, phi_d * b_d
+    out = []
+    for zn, zd in map(float.as_integer_ratio, z):
+        num, den = zn * dz_d - dz_n * zd, zd * dz_d
+        out.append(((num, den), (phi_num * den + b_num * num, phi_den * den)))
     return out
 
 
@@ -368,14 +465,23 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     width ``s_v = (2 q)^(-1/2)`` about ``v0 = -c z* cos(theta)/q`` times the
     linear phase of wavenumber ``2 c |z*| sin theta``, whatever t. As
     ``tan theta <= 2 a/c``, its peak ``exp(q v0^2 - c z*^2)`` is at most 1.
-    Uniform panels (``_uniform_edges``) cover ``v0 +- W s_v``,
+    Uniform panels (``_uniform_layout``) cover ``v0 +- W s_v``,
     ``W = _WINDOW_SIGMAS``; the Gaussian tails beyond carry
     ``exp(-W^2/2) sqrt(2/pi)/W`` of the path mass
     ``int |g| = mod sqrt(pi/q) exp(q v0^2 - c z*^2)``.
 
-    The phase. ``Phi`` reaches 1e10 rad and far more, so it is formed in
-    exact rationals from the double inputs, and ``z*`` with it (then
-    rounded once); ``exp(i Phi)`` comes from ``_exp_i``.
+    The phase. ``Phi`` reaches 1e10 rad and far more, so it is formed
+    exactly, as a ratio of integers built from the double inputs
+    (``_exact_phase_terms``), and ``z*`` with it (then rounded once);
+    ``exp(i Phi)`` comes from ``_exp_i``. A ``z*`` past the largest double
+    raises ``ValueError`` naming its z before anything else is formed.
+
+    The grid. Every point shares ``theta``, ``s_v`` and the window width,
+    so the panels of all points that need sampling are laid out at once
+    (``_uniform_layout``: each point's panel count and edges as
+    ``_uniform_edges`` would give them) and integrated in one
+    ``_integrate`` pass; each point's ``z*`` and constant phase factor
+    reach the integrand with its panels' rows, chunk by chunk.
 
     The rounding bound ``R = K eps (P + Q + 1) int |g|``, ``P = c z*^2``,
     ``Q = W^2/2``. On the window ``a |v|^2 <= 2 (P + Q)``,
@@ -387,18 +493,31 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
       component, the two complex squares with 2.25 each: ``8.25 a |v|^2 +
       12.25 c (|z*| + |v|)^2``, at most ``eps (45 P + 33 Q)``;
       ``e^{i theta}``'s own rounding moves the path, not the integral;
-    - the node's place, 3 roundings and 1 for its panel's ends, times
-      ``|g'/g|``: ``4 |v| |g'/g|``, at most ``eps (8 P + 8 Q)``;
+    - the node's place, times ``|g'/g|``. A window's edges are
+      ``j ((hi - lo)/n) + lo``, its last ``hi``, and neighbouring panels
+      share theirs bit for bit, so the panels tile the window exactly and
+      the edges' own roundings move nothing. The rule then places node
+      ``c + h x`` on a panel ``[e0, e1]`` with ``c = (e0 + e1)/2`` (1
+      rounding), ``h x`` (1) and the sum (1), and the rounding of
+      ``h = (e1 - e0)/2`` moves the panel's ends by ``|x|`` times it (1):
+      each at most ``|v|`` over the window, ``4 |v| |g'/g|``, at most
+      ``eps (8 P + 8 Q)``;
     - the complex exp (4), ``mod`` (6), ``e^{-i pi/4}`` (3), the panel's
       half-width (1), the three products into the integrand (7), the
       dropped rest of ``Phi`` (2) and 4 for each of the n <= 21 factors of
       ``exp(i Phi)``: ``23 + 4 n``, at most ``54 eps``.
 
     Weighted by the rule, that is ``eps (53 P + 41 Q + 54) int |g|``, under
-    ``R`` with ``K = 64``; the rule's own sums lie under QUADPACK's floor
-    ``50 eps int |g|`` (see ``_gk_panels``). ``R``, the tails and a floor
-    for values that underflow join the reported error, and when ``R``
-    alone reaches abs_tol at any point the call raises before any layout.
+    ``R`` with ``K = 64`` term by term; the rule's own sums lie under
+    QUADPACK's floor ``50 eps int |g|`` (see ``_gk_panels``). So does the
+    in-order sum of a point's n panels, ``(n - 1) eps/2 int |g|``, for the
+    48 most points take. A point's peak is at most ``exp(-1.5 (k s_v)^2)``,
+    k its linear wavenumber, so a point that is sampled has ``k s_v < 23``
+    and at most ~240 panels, whose sum's ``120 eps int |g|`` lies within
+    the slack of ``R``, at least ``(64 - 41) Q eps int |g|``. ``R``, the
+    tails and a floor for values that underflow join the reported error,
+    and when ``R`` alone reaches abs_tol at any point the call raises
+    before any layout.
     A point where the path mass, ``R`` and the tails together are at most
     abs_tol/8 is 0 with that bound, unsampled (``|psi| <= int |g|``); a
     ``P`` that overflows raises ``ValueError``.
@@ -417,21 +536,20 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     if not np.all(np.isfinite(z_grid)):
         raise ValueError("kernel propagation requires finite z")
 
+    exact = _exact_phase(params, s, t, z_grid.tolist())
+    zstar = np.empty(z_grid.size)
+    for i, ((num, den), _) in enumerate(exact):
+        try:
+            zstar[i] = num / den
+        except OverflowError:
+            raise ValueError(f"kernel propagation: z* = z - s dz overflows at "
+                             f"z={z_grid[i]:.6g}") from None
+
     sigma0 = params.sigma0
     c = 1.0 / (4.0 * sigma0 * sigma0)
-    m, hbar, f = params.mass, params.hbar, params.force
+    m, hbar = params.mass, params.hbar
     a = m / (2.0 * hbar * t)
     mod = math.sqrt(m / (2.0 * math.pi * hbar * t)) * (2.0 * math.pi * sigma0**2) ** -0.25
-
-    # Phi and z* in exact rationals from the double inputs.
-    m_x, hbar_x, f_x, t_x = (Fraction(v) for v in (m, hbar, f, t))
-    a_x = m_x / (2 * hbar_x * t_x)
-    b_x = s * f_x * t_x / (2 * hbar_x)
-    s_dz = s * f_x * t_x * t_x / (2 * m_x)
-    phi_glob = a_x * s_dz * s_dz + b_x * s_dz - f_x * f_x * t_x**3 / (24 * m_x * hbar_x)
-    two_b = 2 * b_x
-    zstar_x = [Fraction(z) - s_dz for z in z_grid.tolist()]
-    zstar = np.array([float(v) for v in zstar_x])
 
     theta = 0.5 * math.atan2(a, c)
     rot = complex(math.cos(theta), math.sin(theta))
@@ -462,21 +580,20 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     # |psi| <= int |g| = mass, rounded up by exp's condition number x.
     zero_bound = mass * (1.0 + 8.0 * _EPS * (1.0 + x)) + rounding + tails
 
-    samples: list[KernelSample] = []
-    bounds = np.empty(z_grid.size)
-    for i, z in enumerate(z_grid):
-        if zero_bound[i] <= spec.abs_tol / 8.0:
-            samples.append(KernelSample(z=float(z), value=0j))
-            bounds[i] = zero_bound[i]
-            continue
-        const = prefactor * _exp_i(phi_glob + two_b * zstar_x[i])
-        edges = _uniform_edges(v0[i] - half, v0[i] + half, wavenumber[i], s_v)
-        integrand = lambda v: kernels.kernel_integrand(v, zstar[i], c, a, rot, const)
-        value, err = _integrate(integrand, edges, spec.abs_tol,
-                                extra_error=rounding[i] + tails[i],
-                                what=f"kernel convolution at z={z:.6g}")
-        samples.append(KernelSample(z=float(z), value=value))
-        bounds[i] = err
+    values = np.zeros(z_grid.size, dtype=complex)
+    bounds = zero_bound.copy()
+    live = np.flatnonzero(zero_bound > spec.abs_tol / 8.0)
+    if live.size:
+        const = np.array([prefactor * _exp_i(*exact[i][1]) for i in live.tolist()])
+        edges, counts = _uniform_layout(v0[live] - half, v0[live] + half,
+                                        wavenumber[live], s_v)
+        integrand = lambda v, zs, k: kernels.kernel_integrand(v, zs, c, a, rot, k)
+        values[live], bounds[live] = _integrate(
+            integrand, edges, spec.abs_tol, extra_error=rounding[live] + tails[live],
+            what=lambda j: f"kernel convolution at z={z_grid[live[j]]:.6g}",
+            counts=counts, args=(zstar[live], const))
+    samples = [KernelSample(z=z, value=v)
+               for z, v in zip(z_grid.tolist(), values.tolist())]
 
     return (samples, bounds) if full_output else samples
 

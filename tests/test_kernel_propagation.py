@@ -1,6 +1,7 @@
 """Propagator-convolution oracle against the closed-form evolved packets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sgcoherence import (
     packet_density,
     propagate_via_kernel,
 )
+from sgcoherence import kernels, oracle
 
 KERNEL_SPEC = QuadratureSpec(abs_tol=1e-5)
 
@@ -231,3 +233,139 @@ def test_kernel_error_within_reported_bound(params, x):
     tau = decoherence_time(params)
     t = tau * (10.0 * params.spreading_time / tau) ** x
     _assert_within_bounds(params, _grid_over_bright_region(params, t, +1, 7), t, KERNEL_SPEC)
+
+
+# ---------------------------------------------------------------- one pass per grid
+
+
+def _grid_pass(params, z, t, spec, monkeypatch):
+    """Kernel values and bounds on ``z``, with the inputs of its layout and its pass."""
+    seen = {}
+    layout, integrate = oracle._uniform_layout, oracle._integrate
+
+    def recording_layout(lo, hi, wavenumber, scale):
+        seen["layout"] = (lo, hi, wavenumber, scale)
+        seen["edges"], seen["counts"] = out = layout(lo, hi, wavenumber, scale)
+        return out
+
+    def recording_integrate(integrand, edges, abs_tol, extra_error=0.0, what="integral",
+                            counts=None, args=()):
+        seen["pass"] = (integrand, extra_error, args, what)
+        return integrate(integrand, edges, abs_tol, extra_error, what, counts, args)
+
+    monkeypatch.setattr(oracle, "_uniform_layout", recording_layout)
+    monkeypatch.setattr(oracle, "_integrate", recording_integrate)
+    samples, bounds = propagate_via_kernel(params, +1, z, t, spec, full_output=True)
+    monkeypatch.undo()
+    return np.array([s.value for s in samples]), bounds, seen
+
+
+def _assert_matches_per_point_reference(seen, values, bounds, abs_tol):
+    """Each point alone, on ``_uniform_edges`` and one ``_integrate``, as the grid pass claims."""
+    lo, hi, wavenumber, scale = seen["layout"]
+    integrand, extra, (zstar, const), what = seen["pass"]
+    assert lo.size == values.size  # every point of these grids is sampled
+    first = 0
+    for i in range(lo.size):
+        edges = oracle._uniform_edges(lo[i], hi[i], wavenumber[i], scale)
+        assert seen["counts"][i] == edges.size - 1  # the same nodes
+        np.testing.assert_array_equal(seen["edges"][first:first + edges.size], edges)
+        first += edges.size
+        value, bound = oracle._integrate(lambda v, i=i: integrand(v, zstar[i], const[i]),
+                                         edges, abs_tol, extra_error=extra[i], what=what(i))
+        assert abs(values[i] - value) <= 1e-15 * abs(value), (i, values[i], value)
+        assert abs(bounds[i] - bound) <= 1e-15 * bound, (i, bounds[i], bound)
+
+
+@pytest.mark.parametrize("step", [0, 1, 2, 3])
+def test_grid_pass_matches_one_integral_per_point(typical, monkeypatch, step):
+    # From the decay time tau to ten spreading times, in three equal
+    # logarithmic steps.
+    tau = decoherence_time(typical)
+    t = tau * (10.0 * typical.spreading_time / tau) ** (step / 3.0)
+    z = _grid_over_bright_region(typical, t, +1, 21)
+    values, bounds, seen = _grid_pass(typical, z, t, KERNEL_SPEC, monkeypatch)
+    _assert_matches_per_point_reference(seen, values, bounds, KERNEL_SPEC.abs_tol)
+
+
+def test_grid_pass_over_several_chunks(typical, monkeypatch):
+    # 613 points of ~720 nodes fill more than one _CHUNK_NODES chunk; each
+    # chunk passes the integrand only its own panels' z* and phase factors.
+    t = 1e-6
+    z = _grid_over_bright_region(typical, t, +1, 613)
+    batches = []
+    original = kernels.kernel_integrand
+
+    def recording(v, zstar, *rest):
+        batches.append((v.shape, np.shape(zstar)))
+        return original(v, zstar, *rest)
+
+    monkeypatch.setattr(kernels, "kernel_integrand", recording)
+    values, bounds, seen = _grid_pass(typical, z, t, KERNEL_SPEC, monkeypatch)
+    assert len(batches) > 1
+    assert sum(shape[0] for shape, _ in batches) == seen["counts"].sum()
+    for (panels, nodes), column in batches:
+        assert panels * nodes <= oracle._CHUNK_NODES and column == (panels, 1)
+    _assert_matches_per_point_reference(seen, values, bounds, KERNEL_SPEC.abs_tol)
+
+
+def test_grid_pass_names_the_point_that_misses_its_tolerance(typical, monkeypatch):
+    t = 1e-6
+    z = _grid_over_bright_region(typical, t, +1, 9)
+    _, _, seen = _grid_pass(typical, z, t, KERNEL_SPEC, monkeypatch)
+    target = seen["pass"][2][0][6]  # z* of the seventh point
+    original = oracle._gk_panels
+
+    def failing_there(integrand, centers, halfw, *args):
+        vals, errs, floors = original(integrand, centers, halfw, *args)
+        errs[args[0] == target] = 1.0
+        return vals, errs, floors
+
+    monkeypatch.setattr(oracle, "_gk_panels", failing_there)
+    with pytest.raises(QuadratureConvergenceError,
+                       match=f"kernel convolution at z={z[6]:.6g}: tolerance") as exc_info:
+        propagate_via_kernel(typical, +1, z, t, KERNEL_SPEC)
+    assert exc_info.value.error_bound >= 1.0
+
+
+# ---------------------------------------------------------------- the exact phase
+
+
+def _exp_i_of_fraction(phase):
+    """exp(i phase) of a Fraction, split into doubles as the oracle splits an integer ratio."""
+    num, den = phase.numerator, phase.denominator
+    out = 1.0 + 0.0j
+    d = num / den
+    while abs(d) > oracle._EPS:
+        out *= complex(math.cos(d), math.sin(d))
+        n, k = d.as_integer_ratio()
+        num, den = num * k - n * den, den * k
+        d = num / den
+    return out
+
+
+def _fraction_phase(params, s, t, z):
+    """z* and exp(i Phi) formed term by term in normalising Fraction arithmetic."""
+    m, hbar, f, t = (Fraction(v) for v in (params.mass, params.hbar, params.force, t))
+    a = m / (2 * hbar * t)
+    b = s * f * t / (2 * hbar)
+    s_dz = s * f * t * t / (2 * m)
+    phi_glob = a * s_dz * s_dz + b * s_dz - f * f * t**3 / (24 * m * hbar)
+    zstar = Fraction(z) - s_dz
+    return float(zstar), _exp_i_of_fraction(phi_glob + 2 * b * zstar)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=beams(), x=st.floats(0.0, 1.0), s=st.sampled_from([-1, 1]),
+       offset=st.floats(-60.0, 60.0), raw=st.floats(-1.0, 1.0), near=st.booleans())
+def test_integer_phase_equals_the_fraction_phase_bit_for_bit(params, x, s, offset, raw, near):
+    # t from one decay time to ten spreading times; z within 60 widths of
+    # the packet or anywhere in a metre.
+    tau = decoherence_time(params)
+    t = tau * (10.0 * params.spreading_time / tau) ** x
+    k = kinematics(params, t)
+    z = s * k.delta_z_bar + offset * k.sigma_t if near else raw
+    ((num, den), phase), = oracle._exact_phase(params, s, t, [z])
+    zstar, factor = _fraction_phase(params, s, t, z)
+    assert num / den == zstar
+    assert oracle._exp_i(*phase) == factor

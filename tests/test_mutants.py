@@ -1,12 +1,17 @@
-"""Planted slips in the closed forms that `validate` must catch.
+"""Planted slips in the closed forms and in the kernel oracle that `validate` must catch.
 
-Each test replaces one closed form by a copy with a known slip and asserts
-that `sgcoherence validate` exits 1 and names the check that fails.
+Each test replaces one closed form, or one term of the kernel oracle's exact
+phase, by a copy with a known slip and asserts that `sgcoherence validate`
+exits 1 and names the checks that fail. A z-independent slip of the
+oracle's phase ``phi_glob`` is the one slip it cannot catch: like a slip of
+the closed form's centre phase, it is absorbed by the one free phase per
+time that the kernel phase check fits.
 """
 
 import numpy as np
+import pytest
 
-from sgcoherence import analytic, cli, kinematics, typical_params
+from sgcoherence import analytic, cli, kinematics, oracle, typical_params
 
 
 def test_chirp_curvature_slip_fails_the_kernel_phase_at_the_spreading_time(monkeypatch, capsys):
@@ -85,3 +90,52 @@ def test_halved_momentum_kick_fails_every_kernel_phase_check(monkeypatch, capsys
     assert _failed_checks(capsys) == {
         f"kernel_phase_constancy_t={t:g}" for t in (2e-9, 1e-6, 1e-5, 0.1 * t_s, t_s)
     }
+
+
+def _slip_kernel_phase_term(monkeypatch, term):
+    """Halve one of the oracle's exact terms ``phi_glob``, ``2 b``, ``s dz``."""
+    original = oracle._exact_phase_terms
+    index = ("phi_glob", "two_b", "s_dz").index(term)
+
+    def slipped(params, s, t):
+        terms = list(original(params, s, t))
+        num, den = terms[index]
+        terms[index] = (num, 2 * den)
+        return tuple(terms)
+
+    monkeypatch.setattr(oracle, "_exact_phase_terms", slipped)
+
+
+# Past the first two times the slipped packet sits where the kernel grid has
+# no mass: every value is a certified 0, and the phase check's 0/0 gives nan,
+# which fails it.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_halved_displacement_in_the_kernel_fails_its_density_checks(monkeypatch, capsys):
+    # z* = z - s dz slipped to z - s dz/2: the oracle's packet lags the
+    # closed form's by dz/2, a width or more from 1 us on.
+    _slip_kernel_phase_term(monkeypatch, "s_dz")
+    assert cli.main(["validate"]) == 1
+    t_s = typical_params().spreading_time
+    assert _failed_checks(capsys) == {
+        *(f"kernel_density_match_t={t:g}" for t in (1e-6, 1e-5, 0.1 * t_s, t_s)),
+        *(f"kernel_phase_constancy_t={t:g}" for t in (0.1 * t_s, t_s)),
+    }
+
+
+def test_halved_kick_in_the_kernel_phase_fails_every_kernel_phase_check(monkeypatch, capsys):
+    # Phi's per-point term 2 b z* slipped to b z*: the oracle's packet loses
+    # half its momentum kick, as in the closed form's slip above.
+    _slip_kernel_phase_term(monkeypatch, "two_b")
+    assert cli.main(["validate"]) == 1
+    t_s = typical_params().spreading_time
+    assert _failed_checks(capsys) == {
+        f"kernel_phase_constancy_t={t:g}" for t in (2e-9, 1e-6, 1e-5, 0.1 * t_s, t_s)
+    }
+
+
+def test_halved_global_kernel_phase_passes_validate(monkeypatch, capsys):
+    # The documented exception: phi_glob is z-independent, so the free phase
+    # per time absorbs its slip.
+    _slip_kernel_phase_term(monkeypatch, "phi_glob")
+    assert cli.main(["validate"]) == 0
+    assert _failed_checks(capsys) == set()

@@ -143,6 +143,15 @@ def test_kernel_point_whose_path_exponent_overflows_is_rejected(typical, z):
         propagate_via_kernel(typical, +1, [0.0, z], 1e-6, QuadratureSpec(1e-5))
 
 
+def test_kernel_point_whose_displacement_overflows_is_rejected(typical, monkeypatch):
+    # At 3e152 s the exact s dz lies past the largest double, and so does
+    # z* = z - s dz at z = -1.7e308: the call names that z before any layout.
+    calls = _count_gk_panel_calls(monkeypatch)
+    with pytest.raises(ValueError, match=r"z\* = z - s dz overflows at z=-1.7e\+308"):
+        propagate_via_kernel(typical, +1, [-1.7e308], 3e152, QuadratureSpec(1e-5))
+    assert calls == []
+
+
 def test_layout_over_the_budget_fails_before_any_panel():
     n = oracle._MAX_INITIAL_PANELS
     assert oracle._uniform_edges(0.0, 0.5 * n, 0.0, 1.0).size == n + 1
