@@ -125,17 +125,40 @@ class CoherenceReport:
 
 
 def _check_time(t) -> np.ndarray:
+    """``t`` as an array, raising ``ValueError`` unless every element is finite and >= 0.
+
+    Each public function checks its time once, on entry; what it calls
+    inside this module takes the checked time unguarded. NaN fails the first
+    comparison and +inf the second.
+    """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or not np.all(np.isfinite(t)):
+    if not ((t >= 0.0) & (t < math.inf)).all():
         raise ValueError("time must be finite and >= 0")
     return t
 
 
-def packet_width(params: ExperimentParams, t) -> np.ndarray | float:
-    """Spreading width sigma(t) = sqrt(sigma0^2 + (hbar t / 2 m sigma0)^2)."""
-    t = _check_time(t)
+def _width(params: ExperimentParams, t):
+    """sigma(t) of a checked time, as ``packet_width`` gives it."""
     spread = params.hbar / (2.0 * params.mass * params.sigma0) * t
     return np.hypot(params.sigma0, spread)[()]
+
+
+def _kinematics(params: ExperimentParams, t: float) -> KinematicState:
+    """``kinematics`` of a checked float time."""
+    f = params.force
+    delta_z = f * t * t / (2.0 * params.mass)
+    return KinematicState(
+        t=t,
+        delta_p=f * t,
+        delta_z=delta_z,
+        delta_z_bar=delta_z,
+        sigma_t=float(_width(params, t)),
+    )
+
+
+def packet_width(params: ExperimentParams, t) -> np.ndarray | float:
+    """Spreading width sigma(t) = sqrt(sigma0^2 + (hbar t / 2 m sigma0)^2)."""
+    return _width(params, _check_time(t))
 
 
 def kinematics(params: ExperimentParams, t: float) -> KinematicState:
@@ -144,16 +167,7 @@ def kinematics(params: ExperimentParams, t: float) -> KinematicState:
     ``delta_z_bar`` is defined as ``t*delta_p/m - delta_z``, which equals
     ``delta_z = f t^2 / 2m`` exactly; it is stored as ``delta_z``.
     """
-    t = float(_check_time(t))
-    f = params.force
-    delta_z = f * t * t / (2.0 * params.mass)
-    return KinematicState(
-        t=t,
-        delta_p=f * t,
-        delta_z=delta_z,
-        delta_z_bar=delta_z,
-        sigma_t=float(packet_width(params, t)),
-    )
+    return _kinematics(params, float(_check_time(t)))
 
 
 def packet_amplitude(params: ExperimentParams, branch: int, z, t: float):
@@ -183,7 +197,7 @@ def packet_amplitude(params: ExperimentParams, branch: int, z, t: float):
         amp = (2.0 * math.pi * sigma0**2) ** -0.25
         return (amp * np.exp(-(z * z) / (4.0 * sigma0**2)) + 0.0j)[()]
 
-    k = kinematics(params, t)
+    k = _kinematics(params, t)
     sigma_t = k.sigma_t
     ft_hbar = params.force * t / params.hbar
     spread = params.hbar / (2.0 * params.mass * sigma0) * t
@@ -206,7 +220,7 @@ def packet_density(params: ExperimentParams, branch: int, z, t: float):
     s = verify_branch(branch)
     t = float(_check_time(t))
     z = np.asarray(z, dtype=float)
-    k = kinematics(params, t)
+    k = _kinematics(params, t)
     dz_rel = z - s * k.delta_z_bar
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * k.sigma_t)
     return (norm * np.exp(-(dz_rel * dz_rel) / (2.0 * k.sigma_t**2)))[()]
@@ -243,7 +257,7 @@ def coherence_exponents(params: ExperimentParams, t):
     t = _check_time(t)
     f = params.force
     sigma0 = params.sigma0
-    sigma_t = np.asarray(packet_width(params, t))
+    sigma_t = np.asarray(_width(params, t))
     # (1/2) dp/(hbar/2 sigma0) = f sigma0 t / hbar, grouped dimensionless
     half_dp_ratio = (f * sigma0 / params.hbar) * t
     width_ratio = sigma0 / sigma_t
@@ -351,7 +365,7 @@ def separation_position_ratio(params: ExperimentParams, t):
     """Packet-center separation in units of the spread: dzbar(t) / sigma(t)."""
     t = _check_time(t)
     dzbar = params.force * t * t / (2.0 * params.mass)
-    return (dzbar / np.asarray(packet_width(params, t)))[()]
+    return (dzbar / np.asarray(_width(params, t)))[()]
 
 
 def separation_position_approx(params: ExperimentParams, t, regime: str):

@@ -303,6 +303,13 @@ def _run_validate(args: argparse.Namespace) -> int:
             density = np.asarray(analytic.packet_density(params, +1, z_grid, t))
             rel = np.abs(np.abs(values) ** 2 - density) / density
             all_ok &= _check(name_d, float(rel.max()), 1e-4, lines)
+            # A certified 0 has no phase to compare.
+            zeros = np.count_nonzero(values == 0.0)
+            if zeros:
+                which = "all" if zeros == values.size else f"{zeros} of {values.size}"
+                all_ok = _check_failed(name_p, f"{which} kernel values are certified zero",
+                                       lines)
+                continue
             closed = np.asarray(analytic.packet_amplitude(params, +1, z_grid, t))
             phases = values / closed
             phases /= np.abs(phases)

@@ -12,8 +12,10 @@ to validate:
     packet, checking the evolved-packet closed form from first principles.
 
 ``decoherence_time_bisection``
-    Bracketing/bisection root solve of C(t) = 1/e, checking the closed-form
-    decay time.
+    Root solve of C(t) = 1/e, checking the closed-form decay time: a
+    doubling ladder brackets the root, and 64-section passes, each one
+    ``coherence`` call on 63 points, narrow the bracket, at most
+    ``_MAX_SECTION_PASSES`` of them.
 
 The integrands oscillate. Every oracle lays out one kind of panels,
 uniform ones that sample the fastest local oscillation in their window at
@@ -128,6 +130,15 @@ _WINDOW_SIGMAS = 12.0
 #: panel layout (a 15-node panel spans at most 15/40 of a period).
 _POINTS_PER_OSCILLATION = 40.0
 
+#: Rungs of the root bracket's doubling ladder: evaluated per ``coherence``
+#: call, and in all before it gives up.
+_LADDER_CHUNK = 16
+_LADDER_RUNGS = 208
+
+#: Passes of the 1/e root's 64-section before it gives up; each shrinks the
+#: bracket 64-fold, so 9 reach the spacing of doubles from a doubling bracket.
+_MAX_SECTION_PASSES = 16
+
 #: Where the one integral of a plain layout starts (a list would be
 #: converted on every call).
 _ONE_INTEGRAL = np.zeros(1, dtype=np.intp)
@@ -200,12 +211,12 @@ def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray, *args: np.ndar
         f -= 0.5 * resk[:, None]  # reuse f and fabs: no new temporaries
         resasc = np.abs(f, out=fabs) @ _WGK
         err = np.abs(resk - resg)
-        mask = (resasc != 0.0) & (err != 0.0)
-        scaled = np.empty_like(err)
-        scaled[mask] = resasc[mask] * np.minimum(
-            1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5
-        )
-        scaled[~mask] = err[~mask]
+        # qk15's scaled error where resasc and err are both non-zero, else err;
+        # the placeholder 1 keeps the unused ratios finite.
+        live = resasc != 0.0
+        ratio = 200.0 * err / np.where(live, resasc, 1.0)
+        scaled = np.where(live & (err != 0.0),
+                          resasc * np.minimum(1.0, ratio ** 1.5), err)
         h1 = halfw[sl]
         floor = 50.0 * _EPS * resabs
         errs[sl] = np.maximum(scaled, floor) * h1
@@ -367,12 +378,16 @@ def overlap_quadrature(params: ExperimentParams, t: float,
 
     # Live window: where the Gaussian envelope still matters. A cut at or
     # past the window leaves only the mass beyond it, which _WINDOW_SIGMAS
-    # puts under the rounding floor.
+    # puts under the rounding floor. The cut steps s = 1, 1.25, ... below
+    # W + dzbar/sigma, np.arange's values in builtin floats, which cost less
+    # per operation than NumPy scalars.
     window = dzbar + _WINDOW_SIGMAS * sigma_t
     z_live = window
     tail_bound = 0.0
-    for s in np.arange(1.0, _WINDOW_SIGMAS + dzbar / sigma_t, 0.25):
-        cand = 2.0 * peak * sigma_t**2 / (s * sigma_t) * math.exp(-0.5 * s * s)
+    mass2 = 2.0 * peak * sigma_t**2
+    for j in range(math.ceil((_WINDOW_SIGMAS + dzbar / sigma_t - 1.0) / 0.25)):
+        s = 1.0 + 0.25 * j
+        cand = mass2 / (s * sigma_t) * math.exp(-0.5 * s * s)
         if cand <= tol_tail:
             z_live = min(s * sigma_t, window)
             tail_bound = cand if z_live < window else 0.0
@@ -600,41 +615,50 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
 
 def decoherence_time_bisection(params: ExperimentParams, tol_rel: float = 1e-12,
                                full_output: bool = False):
-    """Root of C(t) = 1/e by doubling bracket search plus bisection.
+    """Root of C(t) = 1/e by a doubling ladder plus 64-section.
 
-    C is monotone non-increasing with C(0) = 1, so the root is unique; the
-    bracket starts at one hundredth of the smaller limiting time scale and
-    doubles until the coherence drops below 1/e, then bisects until the
-    bracket is narrower than ``tol_rel`` relative to the root. Raises
-    ``RuntimeError`` when bracketing and bisection together take more than
-    200 iterations, as a ``tol_rel`` near machine precision does.
+    C is monotone non-increasing with C(0) = 1, so the root is unique. The
+    bracket comes from the ladder ``t0 2^j``, ``t0`` one hundredth of the
+    smaller limiting time scale, evaluated ``_LADDER_CHUNK`` rungs per
+    ``coherence`` call: it is the first rung where C <= 1/e and the rung
+    before (or 0). The ladder stops at the first chunk that crosses, so no
+    far rung is evaluated, and raises ``RuntimeError`` if none has crossed
+    by rung ``_LADDER_RUNGS``. Each pass then evaluates C at the 63 interior
+    points of 64 equal parts of the bracket in one call and keeps the part
+    where C first falls to 1/e, until the bracket is at most ``tol_rel``
+    times its upper end; the root is its midpoint. Six passes take a
+    doubling bracket to 1e-10. Raises ``RuntimeError`` after
+    ``_MAX_SECTION_PASSES`` passes, as a ``tol_rel`` under the spacing of
+    doubles near the root does. ``full_output`` adds the number of passes.
     """
     if not (tol_rel > 0.0 and math.isfinite(tol_rel)):
         raise ValueError("tol_rel must be positive and finite")
     target = 1.0 / math.e
     tau1, tau2 = regime_tau_scales(params)
-    t_hi = min(tau1, tau2) / 100.0
-    t_lo = 0.0
-    iterations = 0
-    while float(coherence(params, t_hi)) > target:
-        t_lo = t_hi
-        t_hi *= 2.0
-        iterations += 1
-        if iterations > 200:
-            raise RuntimeError("failed to bracket the coherence 1/e crossing")
+    t0 = min(tau1, tau2) / 100.0
+    for j in range(0, _LADDER_RUNGS, _LADDER_CHUNK):
+        rungs = t0 * 2.0 ** np.arange(j, j + _LADDER_CHUNK)
+        crossed = np.flatnonzero(coherence(params, rungs) <= target)
+        if crossed.size:
+            k = j + int(crossed[0])
+            t_lo, t_hi = (t0 * 2.0 ** (k - 1) if k else 0.0), t0 * 2.0**k
+            break
+    else:
+        raise RuntimeError("failed to bracket the coherence 1/e crossing")
+    passes = 0
     while (t_hi - t_lo) > tol_rel * t_hi:
-        if iterations >= 200:
-            raise RuntimeError(
-                f"bisection did not reach tol_rel={tol_rel:.1e} in 200 iterations"
-            )
-        mid = 0.5 * (t_lo + t_hi)
-        if float(coherence(params, mid)) > target:
-            t_lo = mid
-        else:
-            t_hi = mid
-        iterations += 1
+        if passes >= _MAX_SECTION_PASSES:
+            raise RuntimeError(f"64-section did not reach tol_rel={tol_rel:.1e} "
+                               f"in {_MAX_SECTION_PASSES} passes")
+        grid = np.linspace(t_lo, t_hi, 65)
+        # The bracket keeps C(t_lo) > 1/e >= C(t_hi): its new upper end is the
+        # first interior point where C has fallen to 1/e, or t_hi.
+        above = coherence(params, grid[1:-1]) > target
+        k = 63 if above.all() else int(above.argmin())
+        t_lo, t_hi = float(grid[k]), float(grid[k + 1])
+        passes += 1
     root = 0.5 * (t_lo + t_hi)
-    return (root, iterations) if full_output else root
+    return (root, passes) if full_output else root
 
 
 def packet_norm_quadrature(params: ExperimentParams, branch: int, t: float,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import beams
+from hypothesis import given, settings
 
 from sgcoherence import (
     ExperimentParams,
@@ -40,6 +42,16 @@ def test_monotone_non_increasing(typical):
     for grid in (np.linspace(0.0, 5 * tau, 400), np.geomspace(1e-12, 1e-4, 400)):
         c = np.asarray(coherence(typical, grid))
         assert np.all(np.diff(c) <= 1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=beams())
+def test_monotone_non_increasing_over_beams(params):
+    # From the decay through 1e5 tau, where C has long underflowed to 0.
+    tau = decoherence_time(params)
+    grid = np.concatenate([np.linspace(0.0, 5.0 * tau, 400), tau * np.geomspace(5.0, 1e5, 400)])
+    c = np.asarray(coherence(params, grid))
+    assert np.all(np.diff(c) <= 0.0)
 
 
 def test_bounds(typical):

@@ -2,20 +2,24 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from sgcoherence import (
     ExperimentParams,
     Regime,
     coherence,
+    coherence_exponents,
     decoherence_time,
     decoherence_time_bisection,
+    oracle,
     regime_report,
     regime_tau_scales,
     separation_position_ratio,
 )
 
-from conftest import params_with_chi
+from conftest import beams, params_with_chi
 
 TAU_TYPICAL = 8.0406951982265978e-10  # 50-digit mpmath value
 CHI_TYPICAL = 1.8024593580339553e17
@@ -39,9 +43,9 @@ def test_defining_property_across_regimes(chi):
 
 def test_bisection_agrees(typical):
     tau = decoherence_time(typical)
-    root, iterations = decoherence_time_bisection(typical, 1e-10, full_output=True)
+    root, passes = decoherence_time_bisection(typical, 1e-10, full_output=True)
     assert abs(tau - root) / root < 1e-6
-    assert iterations <= 200
+    assert passes <= 8
 
 
 def test_bisection_sweep():
@@ -66,13 +70,25 @@ def test_bisection_tolerance_validation(typical):
         decoherence_time_bisection(typical, -1e-9)
 
 
-def test_bisection_iteration_cap_raises(typical):
+def test_bisection_iteration_cap_raises(typical, monkeypatch):
     # 1e-20 is below the spacing of doubles near tau, so the bracket can
-    # never get that narrow; the iteration cap must say so.
-    with pytest.raises(RuntimeError):
+    # never get that narrow; the pass cap must say so, after that many
+    # 63-point passes and one ladder chunk.
+    sizes = []
+
+    def counting(params, t):
+        sizes.append(np.size(t))
+        return coherence(params, t)
+
+    monkeypatch.setattr(oracle, "coherence", counting)
+    cap = oracle._MAX_SECTION_PASSES
+    with pytest.raises(RuntimeError, match=f"did not reach tol_rel=1.0e-20 in {cap} passes"):
         decoherence_time_bisection(typical, tol_rel=1e-20)
-    _, iterations = decoherence_time_bisection(typical, tol_rel=1e-10, full_output=True)
-    assert iterations < 100
+    assert sizes == [oracle._LADDER_CHUNK] + [63] * cap
+    sizes.clear()
+    _, passes = decoherence_time_bisection(typical, tol_rel=1e-10, full_output=True)
+    assert passes <= 8
+    assert sizes == [oracle._LADDER_CHUNK] + [63] * passes
 
 
 def test_momentum_dominated_limit():
@@ -94,6 +110,21 @@ def test_packets_not_separated_at_decoherence():
         p = params_with_chi(chi)
         tau = decoherence_time(p)
         assert float(separation_position_ratio(p, tau)) < 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=beams())
+@example(params=params_with_chi(1e12))
+@example(params=params_with_chi(1e-12))
+def test_coherence_is_lost_before_the_beams_separate(params):
+    # The paper's claim: at tau the exponents sum to 1 and the momentum one
+    # is positive, so term_position = (dzbar/sigma)^2/2 < 1: the branch
+    # centres lie less than sqrt(2) widths apart.
+    tau = decoherence_time(params)
+    term_momentum, term_position = coherence_exponents(params, tau)
+    assert term_momentum + term_position == pytest.approx(1.0, rel=1e-9)
+    assert term_momentum > 0.0
+    assert float(separation_position_ratio(params, tau)) < math.sqrt(2.0)
 
 
 def test_report_typical(typical):

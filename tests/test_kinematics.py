@@ -1,10 +1,12 @@
 """Kinematics against hand values and a 50-digit mpmath recomputation."""
 
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf, sqrt as mp_sqrt
 
-from sgcoherence import ExperimentParams, kinematics, packet_width
+from sgcoherence import ExperimentParams, coherence, kinematics, overlap_quadrature, packet_width
 
 # Frozen reference values, 50-digit mpmath evaluation of the defining
 # formulas at the typical parameters (mu = Bohr magneton, t = 2 ns).
@@ -78,3 +80,15 @@ def test_negative_time_rejected(typical):
         kinematics(typical, -1e-9)
     with pytest.raises(ValueError):
         packet_width(typical, -1.0)
+
+
+@pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [kinematics, packet_width, coherence, overlap_quadrature])
+def test_time_guards_reject_bad_times(typical, entry, bad):
+    # Each public entry checks its time once: a scalar, and one bad element
+    # among good ones (overlap_quadrature takes a scalar time only).
+    with pytest.raises(ValueError, match="time must be finite and >= 0"):
+        entry(typical, bad)
+    if entry is not overlap_quadrature:
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            entry(typical, np.array([0.0, 1e-9, bad, 2e-9]))

@@ -1,4 +1,5 @@
-"""Property tests: the overlap and norm oracles' certificates hold across many beams.
+"""Property tests: the overlap and norm oracles' certificates hold across many beams,
+and the 1/e root converges in a few passes.
 
 Beams are drawn log-uniform around ``typical_params()``: mass and field
 gradient over three decades either side, the initial width over two. Times
@@ -7,10 +8,11 @@ itself ([0, 5] tau) and far past it (10^[0, 5] tau).
 """
 
 import math
+import warnings
 from unittest import mock
 
-from conftest import beams
-from hypothesis import given, settings
+from conftest import beams, params_with_chi
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgcoherence import (
@@ -106,3 +108,19 @@ def test_bisection_matches_closed_form_decay_time(params):
     closed = decoherence_time(params)
     rooted = decoherence_time_bisection(params, tol_rel=1e-10)
     assert math.isclose(rooted, closed, rel_tol=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=beams())
+@example(params=params_with_chi(1e12))
+@example(params=params_with_chi(1e-12))
+def test_root_takes_at_most_eight_passes_and_warns_nothing(params):
+    # One ladder chunk brackets the root, and 64-section passes take the
+    # bracket to 1e-10; no rung or point overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(oracle, "coherence", wraps=oracle.coherence) as calls:
+            root, passes = decoherence_time_bisection(params, tol_rel=1e-10, full_output=True)
+    assert passes <= 8
+    assert calls.call_count == passes + 1
+    assert math.isclose(root, decoherence_time(params), rel_tol=1e-6)

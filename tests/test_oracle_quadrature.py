@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sgcoherence import (
+    ExperimentParams,
     QuadratureConvergenceError,
     QuadratureSpec,
     coherence,
@@ -86,6 +87,59 @@ def _count_gk_panel_calls(monkeypatch):
 
     monkeypatch.setattr(oracle, "_gk_panels", counting)
     return calls
+
+
+def _masked_gk_panels(integrand, centers, halfw):
+    """``_gk_panels`` in one chunk, with qk15's scaled error formed by boolean masks."""
+    f = integrand(centers[:, None] + halfw[:, None] * oracle._XGK[None, :])
+    resk = f @ oracle._WGK
+    resg = f @ oracle._WG15
+    resabs = np.abs(f) @ oracle._WGK
+    resasc = np.abs(f - 0.5 * resk[:, None]) @ oracle._WGK
+    err = np.abs(resk - resg)
+    mask = (resasc != 0.0) & (err != 0.0)
+    scaled = np.empty_like(err)
+    scaled[mask] = resasc[mask] * np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
+    scaled[~mask] = err[~mask]
+    floor = 50.0 * oracle._EPS * resabs
+    return resk * halfw, np.maximum(scaled, floor) * halfw, floor * halfw
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_qk15_error_matches_the_masked_form_bit_for_bit(typical, monkeypatch):
+    # Values, errors and floors of every panel of 300 sampled overlap layouts
+    # over random beams and times, then of constant integrands, where resasc and
+    # err are 0 and the error falls back to err (or the floor).
+    original = oracle._gk_panels
+    panels = []
+
+    def comparing(integrand, centers, halfw):
+        out = original(integrand, centers, halfw)
+        _assert_same_bits(out, _masked_gk_panels(integrand, centers, halfw))
+        panels.append(centers.size)
+        return out
+
+    monkeypatch.setattr(oracle, "_gk_panels", comparing)
+    rng = np.random.default_rng(17)
+    while len(panels) < 300:
+        params = ExperimentParams(
+            mass=typical.mass * 10.0 ** rng.uniform(-3.0, 3.0),
+            field_gradient=typical.field_gradient * 10.0 ** rng.uniform(-3.0, 3.0),
+            sigma0=typical.sigma0 * 10.0 ** rng.uniform(-2.0, 2.0),
+        )
+        t = decoherence_time(params) * 10.0 ** rng.uniform(-3.0, 1.5)
+        overlap_quadrature(params, t, QuadratureSpec(abs_tol=rng.choice([1e-9, 1e-12])))
+
+    centers, halfw = rng.normal(size=48), rng.uniform(0.1, 2.0, size=48)
+    for constant in (0.0, 1.0, -3.0 + 4.0j):
+        integrand = lambda z: np.full(z.shape, constant, dtype=complex)
+        got = original(integrand, centers, halfw)
+        _assert_same_bits(got, _masked_gk_panels(integrand, centers, halfw))
+        assert np.array_equal(got[1], got[2])  # qk15 adds nothing to the floor
 
 
 def test_tolerance_under_rounding_floor_fails_after_initial_layout(typical, monkeypatch):
