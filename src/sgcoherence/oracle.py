@@ -21,18 +21,19 @@ The integrands oscillate. Every oracle lays out one kind of panels,
 uniform ones that sample the fastest local oscillation in their window at
 least ``_POINTS_PER_OSCILLATION`` times, and integrates them in one
 Gauss-Kronrod pass; nothing is refined, and a bound over the tolerance
-raises at once. The pass is segmented: it takes the panels of many
-integrals and sums each one's apart, so the kernel convolution integrates
-all the points of a z grid in one pass, and the overlap and norm oracles
-are its one-integral case. Regions that provably contribute less than the
-tolerance (Gaussian tails) are replaced by explicit bounds that are added
-to the reported error instead of being silently dropped; one integration-by-parts
-bound certifies a negligible overlap, and the path mass a negligible
-kernel value, unsampled. The kernel convolution runs along a rotated
-contour on which its chirp cancels, so it integrates a Gaussian whatever
-the time, and it bounds the rounding of the integrand it evaluates. The
-only setting is the absolute tolerance of ``QuadratureSpec``; the window
-and the resolution are the constants below.
+raises at once. A pass takes one row of edges, or many rows with one
+panel count, and sums each row apart: the kernel convolution shifts one
+template to every point of a z grid and integrates them all in one pass,
+and the overlap and norm oracles are its one-row case. Regions that
+provably contribute less than the tolerance (Gaussian tails) are replaced
+by explicit bounds that are added to the reported error instead of being
+silently dropped; one integration-by-parts bound certifies a negligible
+overlap, and the path mass a negligible kernel value, unsampled. The
+kernel convolution runs along a rotated contour on which its chirp
+cancels, so it integrates a Gaussian whatever the time, and it bounds the
+rounding of the integrand it evaluates. The only setting is the absolute
+tolerance of ``QuadratureSpec``; the window and the resolution are the
+constants below.
 """
 
 from __future__ import annotations
@@ -139,10 +140,6 @@ _LADDER_RUNGS = 208
 #: bracket 64-fold, so 9 reach the spacing of doubles from a doubling bracket.
 _MAX_SECTION_PASSES = 16
 
-#: Where the one integral of a plain layout starts (a list would be
-#: converted on every call).
-_ONE_INTEGRAL = np.zeros(1, dtype=np.intp)
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -226,21 +223,21 @@ def _gk_panels(integrand, centers: np.ndarray, halfw: np.ndarray, *args: np.ndar
 
 
 def _integrate(integrand, edges: np.ndarray, abs_tol: float, extra_error=0.0,
-               what="integral", counts: np.ndarray | None = None, args=()):
+               what="integral", args=()):
     """One Gauss-Kronrod 15(7) pass over the panels of one or more integrals.
 
-    ``edges`` holds each integral's panel edges in turn, ``counts[i] + 1``
-    of them for integral i; without ``counts`` all of ``edges`` is one
-    integral. ``args`` are per-integral arrays that reach ``integrand``
-    with its panels' rows (see ``_gk_panels``), and ``extra_error`` bounds,
-    per integral, everything outside the panels (truncated tails,
-    rounding); it is part of the reported error. Every panel goes through
-    one ``_gk_panels`` pass, and each integral adds its panels' values,
-    errors and floors in order (``np.add.reduceat``): over n panels that
-    sum rounds by at most ``(n - 1) eps/2`` times the sum of ``|values|``,
-    under the panels' floor while n <= 101. Returns ``(values,
-    error_bounds)``, arrays over the integrals, or the value and the bound
-    of the one integral when ``counts`` is None.
+    ``edges`` holds one integral's panel edges, or one row of them per
+    integral, every row with the same count. ``args`` are per-integral
+    arrays that reach ``integrand`` with its panels' rows (see
+    ``_gk_panels``), and ``extra_error`` bounds, per integral, everything
+    outside the panels (truncated tails, rounding); it is part of the
+    reported error. Every panel goes through one ``_gk_panels`` pass, and
+    each integral adds its panels' values, errors and floors in order
+    (``np.add.reduceat``): over n panels that sum rounds by at most
+    ``(n - 1) eps/2`` times the sum of ``|values|``, under the panels'
+    floor while n <= 101. Returns ``(values, error_bounds)``, arrays over
+    the rows, or the value and the bound of the one integral of 1-D
+    ``edges``.
 
     The layouts of ``_uniform_edges`` are fine enough that, over the beams
     the property tests draw, one pass meets every tolerance above the
@@ -251,19 +248,11 @@ def _integrate(integrand, edges: np.ndarray, abs_tol: float, extra_error=0.0,
     that no finer layout lowers: ``extra_error`` and the panels' rounding
     floor (see ``_gk_panels``).
     """
-    left, right = edges[:-1], edges[1:]
-    if counts is None:
-        starts = _ONE_INTEGRAL
-    else:
-        ends = np.cumsum(counts + 1)  # one past each integral's last edge
-        keep = np.ones(left.size, dtype=bool)
-        keep[ends[:-1] - 1] = False  # the gaps between integrals
-        left, right = left[keep], right[keep]
-        starts = np.cumsum(counts) - counts
-        ids = np.repeat(np.arange(counts.size), counts)
-        args = tuple(arg[ids] for arg in args)
+    n = edges.shape[-1] - 1
+    left, right = edges[..., :-1].ravel(), edges[..., 1:].ravel()
+    starts = np.arange(0, left.size, n)
     vals, errs, floors = _gk_panels(integrand, 0.5 * (right + left), 0.5 * (right - left),
-                                    *args)
+                                    *(np.repeat(arg, n) for arg in args))
     values = np.add.reduceat(vals, starts)
     errors = np.add.reduceat(errs, starts) + extra_error
     failed = np.flatnonzero(errors > abs_tol)
@@ -277,7 +266,7 @@ def _integrate(integrand, edges: np.ndarray, abs_tol: float, extra_error=0.0,
             estimate=complex(values[i]),
             error_bound=float(errors[i]),
         )
-    if counts is None:
+    if edges.ndim == 1:
         return complex(values[0]), float(errors[0])
     return values, errors
 
@@ -299,30 +288,6 @@ def _uniform_edges(lo: float, hi: float, wavenumber: float,
         raise QuadratureConvergenceError(
             f"oscillation-resolving layout needs {n} panels, over the budget")
     return np.linspace(lo, hi, n + 1)
-
-
-def _uniform_layout(lo: np.ndarray, hi: np.ndarray, wavenumber: np.ndarray,
-                    envelope_scale: float):
-    """``_uniform_edges`` of many windows at once: their edges in turn, and panel counts.
-
-    The counts come from ``_uniform_edges``' formula in the same IEEE
-    operations, elementwise, and each window's edges are ``np.linspace``'s
-    to the bit: ``j ((hi - lo)/n) + lo`` for ``j < n``, then ``hi``.
-    """
-    k = np.maximum(wavenumber, 1.0 / envelope_scale)
-    width = np.minimum(0.5 * envelope_scale,
-                       15.0 * 2.0 * math.pi / (_POINTS_PER_OSCILLATION * k))
-    n = np.maximum(4.0, np.ceil((hi - lo) / width))
-    if n.max() > _MAX_INITIAL_PANELS:
-        raise QuadratureConvergenceError(
-            f"oscillation-resolving layout needs {int(n.max())} panels, over the budget")
-    counts = n.astype(np.intp)
-    ends = np.cumsum(counts + 1)
-    window = np.repeat(np.arange(counts.size), counts + 1)
-    j = np.arange(ends[-1]) - (ends - (counts + 1))[window]
-    edges = j * ((hi - lo) / n)[window] + lo[window]
-    edges[ends - 1] = hi
-    return edges, counts
 
 
 def _ibp_bounds(sep2: float, k_sigma: float) -> list[float]:
@@ -480,10 +445,9 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     width ``s_v = (2 q)^(-1/2)`` about ``v0 = -c z* cos(theta)/q`` times the
     linear phase of wavenumber ``2 c |z*| sin theta``, whatever t. As
     ``tan theta <= 2 a/c``, its peak ``exp(q v0^2 - c z*^2)`` is at most 1.
-    Uniform panels (``_uniform_layout``) cover ``v0 +- W s_v``,
-    ``W = _WINDOW_SIGMAS``; the Gaussian tails beyond carry
-    ``exp(-W^2/2) sqrt(2/pi)/W`` of the path mass
-    ``int |g| = mod sqrt(pi/q) exp(q v0^2 - c z*^2)``.
+    Uniform panels cover ``v0 +- W s_v``, ``W = _WINDOW_SIGMAS``; the
+    Gaussian tails beyond carry ``exp(-W^2/2) sqrt(2/pi)/W`` of the path
+    mass ``int |g| = mod sqrt(pi/q) exp(q v0^2 - c z*^2)``.
 
     The phase. ``Phi`` reaches 1e10 rad and far more, so it is formed
     exactly, as a ratio of integers built from the double inputs
@@ -492,11 +456,12 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     raises ``ValueError`` naming its z before anything else is formed.
 
     The grid. Every point shares ``theta``, ``s_v`` and the window width,
-    so the panels of all points that need sampling are laid out at once
-    (``_uniform_layout``: each point's panel count and edges as
-    ``_uniform_edges`` would give them) and integrated in one
-    ``_integrate`` pass; each point's ``z*`` and constant phase factor
-    reach the integrand with its panels' rows, chunk by chunk.
+    so one template, ``_uniform_edges`` on ``[-W s_v, W s_v]`` at the
+    largest wavenumber among the points that need sampling, serves them
+    all: each point integrates over ``v0 + e_j``, the template's edges
+    shifted by its own ``v0``, in one ``_integrate`` pass, and its ``z*``
+    and constant phase factor reach the integrand with its panels' rows,
+    chunk by chunk.
 
     The rounding bound ``R = K eps (P + Q + 1) int |g|``, ``P = c z*^2``,
     ``Q = W^2/2``. On the window ``a |v|^2 <= 2 (P + Q)``,
@@ -508,15 +473,16 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
       component, the two complex squares with 2.25 each: ``8.25 a |v|^2 +
       12.25 c (|z*| + |v|)^2``, at most ``eps (45 P + 33 Q)``;
       ``e^{i theta}``'s own rounding moves the path, not the integral;
-    - the node's place, times ``|g'/g|``. A window's edges are
-      ``j ((hi - lo)/n) + lo``, its last ``hi``, and neighbouring panels
-      share theirs bit for bit, so the panels tile the window exactly and
-      the edges' own roundings move nothing. The rule then places node
-      ``c + h x`` on a panel ``[e0, e1]`` with ``c = (e0 + e1)/2`` (1
-      rounding), ``h x`` (1) and the sum (1), and the rounding of
-      ``h = (e1 - e0)/2`` moves the panel's ends by ``|x|`` times it (1):
-      each at most ``|v|`` over the window, ``4 |v| |g'/g|``, at most
-      ``eps (8 P + 8 Q)``;
+    - the node's place, times ``|g'/g|``. A point's edges are
+      ``v0 + e_j``, each rounded once, and neighbouring panels share
+      theirs bit for bit, so the panels tile the window exactly and the
+      edges' own roundings move only its two ends, by half an ulp, where
+      ``|g|`` has fallen to ``exp(-W^2/2)`` of its peak. The rule then
+      places node ``c + h x`` on a panel ``[e0, e1]`` with
+      ``c = (e0 + e1)/2`` (1 rounding), ``h x`` (1) and the sum (1), and
+      the rounding of ``h = (e1 - e0)/2`` moves the panel's ends by
+      ``|x|`` times it (1): each at most ``|v|`` over the window,
+      ``4 |v| |g'/g|``, at most ``eps (8 P + 8 Q)``;
     - the complex exp (4), ``mod`` (6), ``e^{-i pi/4}`` (3), the panel's
       half-width (1), the three products into the integrand (7), the
       dropped rest of ``Phi`` (2) and 4 for each of the n <= 21 factors of
@@ -526,13 +492,14 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     ``R`` with ``K = 64`` term by term; the rule's own sums lie under
     QUADPACK's floor ``50 eps int |g|`` (see ``_gk_panels``). So does the
     in-order sum of a point's n panels, ``(n - 1) eps/2 int |g|``, for the
-    48 most points take. A point's peak is at most ``exp(-1.5 (k s_v)^2)``,
-    k its linear wavenumber, so a point that is sampled has ``k s_v < 23``
-    and at most ~240 panels, whose sum's ``120 eps int |g|`` lies within
-    the slack of ``R``, at least ``(64 - 41) Q eps int |g|``. ``R``, the
-    tails and a floor for values that underflow join the reported error,
-    and when ``R`` alone reaches abs_tol at any point the call raises
-    before any layout.
+    48 or 49 most grids take. Every point takes the count of the grid's
+    largest wavenumber k; a point's peak is at most
+    ``exp(-1.5 (k s_v)^2)``, so a point that is sampled has
+    ``k s_v < 23``, and the template at most ~240 panels, whose sum's
+    ``120 eps int |g|`` lies within the slack of ``R``, at least
+    ``(64 - 41) Q eps int |g|``. ``R``, the tails and a floor for values
+    that underflow join the reported error, and when ``R`` alone reaches
+    abs_tol at any point the call raises before any layout.
     A point where the path mass, ``R`` and the tails together are at most
     abs_tol/8 is 0 with that bound, unsampled (``|psi| <= int |g|``); a
     ``P`` that overflows raises ``ValueError``.
@@ -600,21 +567,20 @@ def propagate_via_kernel(params: ExperimentParams, branch: int, z_grid,
     live = np.flatnonzero(zero_bound > spec.abs_tol / 8.0)
     if live.size:
         const = np.array([prefactor * _exp_i(*exact[i][1]) for i in live.tolist()])
-        edges, counts = _uniform_layout(v0[live] - half, v0[live] + half,
-                                        wavenumber[live], s_v)
+        template = _uniform_edges(-half, half, wavenumber[live].max(), s_v)
         integrand = lambda v, zs, k: kernels.kernel_integrand(v, zs, c, a, rot, k)
         values[live], bounds[live] = _integrate(
-            integrand, edges, spec.abs_tol, extra_error=rounding[live] + tails[live],
+            integrand, v0[live, None] + template, spec.abs_tol,
+            extra_error=rounding[live] + tails[live],
             what=lambda j: f"kernel convolution at z={z_grid[live[j]]:.6g}",
-            counts=counts, args=(zstar[live], const))
+            args=(zstar[live], const))
     samples = [KernelSample(z=z, value=v)
                for z, v in zip(z_grid.tolist(), values.tolist())]
 
     return (samples, bounds) if full_output else samples
 
 
-def decoherence_time_bisection(params: ExperimentParams, tol_rel: float = 1e-12,
-                               full_output: bool = False):
+def decoherence_time_bisection(params: ExperimentParams, tol_rel: float = 1e-12) -> float:
     """Root of C(t) = 1/e by a doubling ladder plus 64-section.
 
     C is monotone non-increasing with C(0) = 1, so the root is unique. The
@@ -629,7 +595,7 @@ def decoherence_time_bisection(params: ExperimentParams, tol_rel: float = 1e-12,
     times its upper end; the root is its midpoint. Six passes take a
     doubling bracket to 1e-10. Raises ``RuntimeError`` after
     ``_MAX_SECTION_PASSES`` passes, as a ``tol_rel`` under the spacing of
-    doubles near the root does. ``full_output`` adds the number of passes.
+    doubles near the root does.
     """
     if not (tol_rel > 0.0 and math.isfinite(tol_rel)):
         raise ValueError("tol_rel must be positive and finite")
@@ -657,8 +623,7 @@ def decoherence_time_bisection(params: ExperimentParams, tol_rel: float = 1e-12,
         k = 63 if above.all() else int(above.argmin())
         t_lo, t_hi = float(grid[k]), float(grid[k + 1])
         passes += 1
-    root = 0.5 * (t_lo + t_hi)
-    return (root, passes) if full_output else root
+    return 0.5 * (t_lo + t_hi)
 
 
 def packet_norm_quadrature(params: ExperimentParams, branch: int, t: float,
@@ -692,23 +657,26 @@ def packet_norm_quadrature(params: ExperimentParams, branch: int, t: float,
 
 def total_density_norm_quadrature(params: ExperimentParams, t: float,
                                   spec: QuadratureSpec | None = None) -> tuple[float, float]:
-    """Quadrature of the spin-traced position density; should be 1."""
+    """Quadrature of the spin-traced position density; should be 1.
+
+    The density is ``|alpha|^2 |phi_+|^2 + |beta|^2 |phi_-|^2``, so its
+    integral is the weighted sum of the two branch norms of
+    ``packet_norm_quadrature``, and its bound the weighted sum of theirs
+    plus the rounding of the sum. Returns ``(norm, error_bound)``, and
+    raises ``QuadratureConvergenceError`` when that bound exceeds abs_tol.
+    """
     spec = spec or QuadratureSpec()
-    t = float(t)
-    k = kinematics(params, t)
-    halfwidth = k.delta_z_bar + _WINDOW_SIGMAS * k.sigma_t
-    edges = _uniform_edges(-halfwidth, halfwidth, 0.0, k.sigma_t)
-    w_plus = abs(params.alpha) ** 2
-    w_minus = abs(params.beta) ** 2
-
-    def integrand(z):
-        d_plus = np.abs(packet_amplitude(params, +1, z, t)) ** 2
-        d_minus = np.abs(packet_amplitude(params, -1, z, t)) ** 2
-        return w_plus * d_plus + w_minus * d_minus + 0.0j
-
-    # Node rounding as in packet_norm_quadrature; the mixture's int |rho'| is
-    # no larger.
-    value, err = _integrate(integrand, edges, spec.abs_tol,
-                            extra_error=8.0 * _EPS * halfwidth / k.sigma_t,
-                            what="total density norm")
-    return float(value.real), err
+    w_plus, w_minus = abs(params.alpha) ** 2, abs(params.beta) ** 2
+    n_plus, e_plus = packet_norm_quadrature(params, +1, t, spec)
+    n_minus, e_minus = packet_norm_quadrature(params, -1, t, spec)
+    value = w_plus * n_plus + w_minus * n_minus
+    # The two products and their sum round by eps/2 each, so the value is
+    # within (eps + eps^2/4) S of the exact weighted sum, S = w+ |N+| + w- |N-|;
+    # 2 eps S also covers the rounding of the bound's own few operations.
+    err = (w_plus * e_plus + w_minus * e_minus
+           + 2.0 * _EPS * (w_plus * abs(n_plus) + w_minus * abs(n_minus)))
+    if err > spec.abs_tol:
+        raise QuadratureConvergenceError(
+            f"total density norm: tolerance {spec.abs_tol:.3e} not reached",
+            estimate=complex(value), error_bound=err)
+    return value, err

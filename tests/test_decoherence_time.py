@@ -1,6 +1,7 @@
 """Closed-form decay time, regime classification, bisection agreement."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,10 +43,12 @@ def test_defining_property_across_regimes(chi):
 
 
 def test_bisection_agrees(typical):
+    # One ladder call, then at most eight 64-section passes.
     tau = decoherence_time(typical)
-    root, passes = decoherence_time_bisection(typical, 1e-10, full_output=True)
+    with mock.patch.object(oracle, "coherence", wraps=oracle.coherence) as calls:
+        root = decoherence_time_bisection(typical, 1e-10)
     assert abs(tau - root) / root < 1e-6
-    assert passes <= 8
+    assert calls.call_count <= 9
 
 
 def test_bisection_sweep():
@@ -86,9 +89,9 @@ def test_bisection_iteration_cap_raises(typical, monkeypatch):
         decoherence_time_bisection(typical, tol_rel=1e-20)
     assert sizes == [oracle._LADDER_CHUNK] + [63] * cap
     sizes.clear()
-    _, passes = decoherence_time_bisection(typical, tol_rel=1e-10, full_output=True)
-    assert passes <= 8
-    assert sizes == [oracle._LADDER_CHUNK] + [63] * passes
+    decoherence_time_bisection(typical, tol_rel=1e-10)
+    assert sizes == [oracle._LADDER_CHUNK] + [63] * (len(sizes) - 1)
+    assert len(sizes) <= 9
 
 
 def test_momentum_dominated_limit():

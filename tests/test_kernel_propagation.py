@@ -239,40 +239,54 @@ def test_kernel_error_within_reported_bound(params, x):
 
 
 def _grid_pass(params, z, t, spec, monkeypatch):
-    """Kernel values and bounds on ``z``, with the inputs of its layout and its pass."""
+    """Kernel values and bounds on ``z``, with the inputs of its template and its pass."""
     seen = {}
-    layout, integrate = oracle._uniform_layout, oracle._integrate
+    layout, integrate = oracle._uniform_edges, oracle._integrate
 
     def recording_layout(lo, hi, wavenumber, scale):
         seen["layout"] = (lo, hi, wavenumber, scale)
-        seen["edges"], seen["counts"] = out = layout(lo, hi, wavenumber, scale)
+        seen["template"] = out = layout(lo, hi, wavenumber, scale)
         return out
 
     def recording_integrate(integrand, edges, abs_tol, extra_error=0.0, what="integral",
-                            counts=None, args=()):
-        seen["pass"] = (integrand, extra_error, args, what)
-        return integrate(integrand, edges, abs_tol, extra_error, what, counts, args)
+                            args=()):
+        seen["pass"] = (integrand, edges, extra_error, args, what)
+        return integrate(integrand, edges, abs_tol, extra_error, what, args)
 
-    monkeypatch.setattr(oracle, "_uniform_layout", recording_layout)
+    monkeypatch.setattr(oracle, "_uniform_edges", recording_layout)
     monkeypatch.setattr(oracle, "_integrate", recording_integrate)
     samples, bounds = propagate_via_kernel(params, +1, z, t, spec, full_output=True)
     monkeypatch.undo()
     return np.array([s.value for s in samples]), bounds, seen
 
 
-def _assert_matches_per_point_reference(seen, values, bounds, abs_tol):
-    """Each point alone, on ``_uniform_edges`` and one ``_integrate``, as the grid pass claims."""
-    lo, hi, wavenumber, scale = seen["layout"]
-    integrand, extra, (zstar, const), what = seen["pass"]
-    assert lo.size == values.size  # every point of these grids is sampled
-    first = 0
-    for i in range(lo.size):
-        edges = oracle._uniform_edges(lo[i], hi[i], wavenumber[i], scale)
-        assert seen["counts"][i] == edges.size - 1  # the same nodes
-        np.testing.assert_array_equal(seen["edges"][first:first + edges.size], edges)
-        first += edges.size
+def _own_layouts(params, t, seen):
+    """Each sampled point's wavenumber ``2 c |z*| sin(theta)``, in the oracle's operations,
+    and the panels its own window ``v0 +- half`` takes from ``_uniform_edges``."""
+    _, edges, _, (zstar, _), _ = seen["pass"]
+    c = 1.0 / (4.0 * params.sigma0 * params.sigma0)
+    a = params.mass / (2.0 * params.hbar * t)
+    k = (2.0 * c * math.sin(0.5 * math.atan2(a, c))) * np.abs(zstar)
+    scale = seen["layout"][3]
+    counts = np.array([oracle._uniform_edges(row[0], row[-1], ki, scale).size - 1
+                       for row, ki in zip(edges, k)])
+    return k, counts
+
+
+def _assert_matches_per_point_reference(params, t, seen, values, bounds, abs_tol):
+    """Each point alone, on its own row of the template and one ``_integrate``, as the
+    grid pass claims; the template is laid out at the largest wavenumber, and no
+    point's own window needs more panels."""
+    integrand, edges, extra, (zstar, const), what = seen["pass"]
+    lo, hi, wavenumber, _ = seen["layout"]
+    template = seen["template"]
+    assert edges.shape == (values.size, template.size)  # every point is sampled
+    own_k, own_counts = _own_layouts(params, t, seen)
+    assert lo == -hi and wavenumber == own_k.max()
+    assert own_counts.max() <= template.size - 1
+    for i in range(values.size):
         value, bound = oracle._integrate(lambda v, i=i: integrand(v, zstar[i], const[i]),
-                                         edges, abs_tol, extra_error=extra[i], what=what(i))
+                                         edges[i], abs_tol, extra_error=extra[i], what=what(i))
         assert abs(values[i] - value) <= 1e-15 * abs(value), (i, values[i], value)
         assert abs(bounds[i] - bound) <= 1e-15 * bound, (i, bounds[i], bound)
 
@@ -285,7 +299,8 @@ def test_grid_pass_matches_one_integral_per_point(typical, monkeypatch, step):
     t = tau * (10.0 * typical.spreading_time / tau) ** (step / 3.0)
     z = _grid_over_bright_region(typical, t, +1, 21)
     values, bounds, seen = _grid_pass(typical, z, t, KERNEL_SPEC, monkeypatch)
-    _assert_matches_per_point_reference(seen, values, bounds, KERNEL_SPEC.abs_tol)
+    _assert_matches_per_point_reference(typical, t, seen, values, bounds,
+                                        KERNEL_SPEC.abs_tol)
 
 
 def test_grid_pass_over_several_chunks(typical, monkeypatch):
@@ -303,17 +318,37 @@ def test_grid_pass_over_several_chunks(typical, monkeypatch):
     monkeypatch.setattr(kernels, "kernel_integrand", recording)
     values, bounds, seen = _grid_pass(typical, z, t, KERNEL_SPEC, monkeypatch)
     assert len(batches) > 1
-    assert sum(shape[0] for shape, _ in batches) == seen["counts"].sum()
+    assert sum(shape[0] for shape, _ in batches) == seen["pass"][1][:, 1:].size
     for (panels, nodes), column in batches:
         assert panels * nodes <= oracle._CHUNK_NODES and column == (panels, 1)
-    _assert_matches_per_point_reference(seen, values, bounds, KERNEL_SPEC.abs_tol)
+    _assert_matches_per_point_reference(typical, t, seen, values, bounds,
+                                        KERNEL_SPEC.abs_tol)
+
+
+def test_template_takes_the_largest_wavenumber_of_the_grid(typical, monkeypatch):
+    # 20-22 widths out at the spreading time the points' linear wavenumbers
+    # cross the width rule's switch from the envelope to the oscillation,
+    # so their own windows would take 66 to 73 panels; each takes the 73 of
+    # the template and keeps its bound against the exact amplitude, at a
+    # tolerance four times the rounding bound.
+    t = typical.spreading_time
+    k = kinematics(typical, t)
+    z = k.delta_z_bar + k.sigma_t * np.linspace(20.0, 22.0, 9)
+    with pytest.raises(QuadratureConvergenceError) as exc_info:
+        propagate_via_kernel(typical, +1, z, t, QuadratureSpec(abs_tol=1e-300))
+    spec = QuadratureSpec(abs_tol=4.0 * exc_info.value.error_bound)
+    values, bounds, seen = _grid_pass(typical, z, t, spec, monkeypatch)
+    _, own_counts = _own_layouts(typical, t, seen)
+    assert own_counts.min() < own_counts.max() == seen["template"].size - 1 == 73
+    assert np.all(np.abs(values - _reference_amplitude(typical, z, t)) <= bounds)
+    _assert_matches_per_point_reference(typical, t, seen, values, bounds, spec.abs_tol)
 
 
 def test_grid_pass_names_the_point_that_misses_its_tolerance(typical, monkeypatch):
     t = 1e-6
     z = _grid_over_bright_region(typical, t, +1, 9)
     _, _, seen = _grid_pass(typical, z, t, KERNEL_SPEC, monkeypatch)
-    target = seen["pass"][2][0][6]  # z* of the seventh point
+    target = seen["pass"][3][0][6]  # z* of the seventh point
     original = oracle._gk_panels
 
     def failing_there(integrand, centers, halfw, *args):

@@ -120,7 +120,8 @@ def test_root_takes_at_most_eight_passes_and_warns_nothing(params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with mock.patch.object(oracle, "coherence", wraps=oracle.coherence) as calls:
-            root, passes = decoherence_time_bisection(params, tol_rel=1e-10, full_output=True)
-    assert passes <= 8
-    assert calls.call_count == passes + 1
+            root = decoherence_time_bisection(params, tol_rel=1e-10)
+    sizes = [call.args[1].size for call in calls.call_args_list]
+    assert sizes == [oracle._LADDER_CHUNK] + [63] * (len(sizes) - 1)
+    assert len(sizes) <= 9
     assert math.isclose(root, decoherence_time(params), rel_tol=1e-6)

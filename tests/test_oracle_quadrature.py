@@ -17,6 +17,7 @@ from sgcoherence import (
     packet_amplitude,
     packet_norm_quadrature,
     propagate_via_kernel,
+    total_density_norm_quadrature,
 )
 from sgcoherence import oracle
 
@@ -161,6 +162,21 @@ def test_norm_tolerance_under_rounding_floor_fails_after_initial_layout(typical,
     assert exc_info.value.error_bound > 1e-15
     assert abs(exc_info.value.estimate - 1.0) < 1e-12
     assert "rounding floor" in str(exc_info.value)
+
+
+def test_total_norm_weighs_the_branch_norms_and_raises_over_tolerance(typical):
+    # At t = 0 both branches are one packet with one bound e; a tolerance of
+    # exactly e leaves no room for the rounding of the weighted sum.
+    w_plus, w_minus = abs(typical.alpha) ** 2, abs(typical.beta) ** 2
+    n_plus, e_plus = packet_norm_quadrature(typical, +1, 0.0)
+    n_minus, e_minus = packet_norm_quadrature(typical, -1, 0.0)
+    norm, bound = total_density_norm_quadrature(typical, 0.0)
+    assert norm == w_plus * n_plus + w_minus * n_minus
+    assert w_plus * e_plus + w_minus * e_minus < bound <= 1e-9
+    assert e_plus == e_minus
+    with pytest.raises(QuadratureConvergenceError, match="total density norm") as exc_info:
+        total_density_norm_quadrature(typical, 0.0, QuadratureSpec(abs_tol=e_plus))
+    assert exc_info.value.error_bound == bound
 
 
 def test_kernel_tolerance_under_rounding_bound_fails_before_layout(typical, monkeypatch):
