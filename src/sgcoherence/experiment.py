@@ -53,8 +53,6 @@ class TimeSeries:
             raise ValueError("times must be strictly increasing")
         if np.any(np.diff(self.coherence) > 1e-15):
             raise ValueError("coherence must be non-increasing")
-        if not np.allclose(self.entropy_paper, 1.0 - self.coherence**2, rtol=0, atol=1e-15):
-            raise ValueError("entropy_paper must equal 1 - coherence^2")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sgcoherence import cli, typical_params
+from sgcoherence import cli, default_profile_window, density_profile, typical_params
 from sgcoherence.cli import main
 
 HEADER_SERIES = "t_s,coherence,entropy_paper,entropy_purity,sep_position,sep_momentum"
@@ -281,6 +281,41 @@ def test_write_csv_matches_per_value_format(tmp_path, rows):
     ]
     header = "a,b,c,d"
     assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+def test_write_csv_matches_per_value_format_near_ties(tmp_path):
+    # Doubles nearest a tie in the 13th significant digit, at every decade
+    # from 1e-300 to 1e300 (across both ends of the NumPy fast path), and
+    # nearest the ties 10**k (1 - 5e-14) that round up to the next decade;
+    # each with its two neighbouring doubles.
+    rng = np.random.default_rng(23)
+    ties = [f"{m}5e{k - 13}" for k in range(-300, 301)
+            for m in rng.integers(10**12, 10**13, 4)]
+    decade_ties = [f"9.99999999999995e{k - 1}" for k in range(-300, 301)]
+    powers = [f"1e{k}" for k in range(-307, 309)]
+    nearest = np.array([float(v) for v in ties + decade_ties + powers])
+    values = np.concatenate([
+        nearest, np.nextafter(nearest, -np.inf), np.nextafter(nearest, np.inf),
+        # Rendered as 1.000000000000e+00 and 1.000000000000e-289 by a move up
+        # a decade without the tie test, or down only below 1e12 - 1/2.
+        [0.99999999999995, 9.9999999999995e-290],
+    ])
+    columns = [values, -values[::-1], rng.permutation(values)]
+    header = "a,b,c"
+    assert _written_csv(tmp_path, header, columns) == _reference_csv(header, columns)
+
+
+def test_write_csv_matches_per_value_format_on_zero_heavy_profile(tmp_path):
+    # At 1 ms both branch densities are exact zeros over 99% of the default
+    # window; the values left run from ~4e4 down into the subnormals.
+    params = typical_params()
+    lo, hi = default_profile_window(params, 1e-3)
+    profile = density_profile(params, 1e-3, lo, hi, 20000)
+    assert np.mean(profile.density_minus == 0.0) > 0.9
+    columns = [profile.z, profile.density_plus, profile.density_minus,
+               profile.density_total]
+    expected = _reference_csv(HEADER_PROFILE, columns)
+    assert _written_csv(tmp_path, HEADER_PROFILE, columns) == expected
 
 
 # Half the draws cross a block boundary; plain integers(0, 9000) mostly stays small.

@@ -92,19 +92,27 @@ def test_momentum_exponent_is_unity_at_tau1(typical):
     assert float(term_z) < 1e-8
 
 
-def test_entropy_identity_and_asymptotes(typical):
-    assert linear_entropy(typical, 0.0, "paper") == 0.0
-    assert linear_entropy(typical, 1.0, "paper") == pytest.approx(1.0, abs=1e-15)
-    t = np.linspace(0.0, 5e-9, 200)
-    c = np.asarray(coherence(typical, t))
-    e = np.asarray(linear_entropy(typical, t, "paper"))
+@settings(max_examples=100, deadline=None)
+@given(params=beams())
+def test_entropy_identity_and_asymptotes(params):
+    # 0 at t = 0 and 1 once C has underflowed (1e5 tau); E + C^2 = 1 over
+    # [0, 5 tau].
+    tau = decoherence_time(params)
+    assert linear_entropy(params, 0.0, "paper") == 0.0
+    assert linear_entropy(params, 1e5 * tau, "paper") == pytest.approx(1.0, abs=1e-15)
+    t = np.linspace(0.0, 5.0 * tau, 200)
+    c = np.asarray(coherence(params, t))
+    e = np.asarray(linear_entropy(params, t, "paper"))
     np.testing.assert_array_equal(e + c * c, np.ones_like(e))
 
 
-def test_purity_convention_half_of_paper_at_bell(typical):
-    t = np.linspace(0.0, 5e-9, 100)
-    e_paper = np.asarray(linear_entropy(typical, t, "paper"))
-    e_purity = np.asarray(linear_entropy(typical, t, "purity"))
+@settings(max_examples=100, deadline=None)
+@given(params=beams())
+def test_purity_convention_half_of_paper_at_bell(params):
+    tau = decoherence_time(params)
+    t = np.linspace(0.0, 5.0 * tau, 100)
+    e_paper = np.asarray(linear_entropy(params, t, "paper"))
+    e_purity = np.asarray(linear_entropy(params, t, "purity"))
     np.testing.assert_allclose(e_purity, e_paper / 2.0, atol=5e-15)
 
 
